@@ -45,7 +45,7 @@ from .families import (
     f_product,
     trace_poly,
 )
-from .ff import FieldElem, make_field
+from .ff import FieldElem, log_p, make_field
 from .monodromy import (
     branch_points,
     chebotarev_sample,
@@ -348,7 +348,7 @@ def _check_canonicalization(q, seed, trials):
 
 
 def _chebotarev_checks(runner, f, q, j, mode, n, seed, threads, cdir, cfg):
-    e = q.bit_length() - 1
+    e = log_p(q, 2)
     base = make_field(2, 2 * j)
     state = {}
 

@@ -26,8 +26,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from .families import _exp_of
-from .ff import FieldCtx, FieldElem, embed, field_from_json, make_field
+from .ff import FieldCtx, FieldElem, embed, field_from_json, lift, log_p, make_field
 from .poly import BiPoly, UniPoly
 
 FIBER_GUARD = 1 << 24
@@ -168,8 +167,7 @@ class FnField:
 
     def __init__(self, ctx, q, A, B):
         assert ctx.p == 2, "engine is specific to characteristic 2"
-        e = _exp_of(q, 2)
-        assert e >= 1
+        e = log_p(q, 2)
         self.ctx = ctx
         self.q = q
         self.e = e
@@ -263,7 +261,7 @@ def _scalar_T(ctx, x, e):
 
 def _plane_poly(q, ctx, c):
     """Y^(q+1) + Z^(q+1) + T(YZ) + c as a BiPoly over ctx (c a packed index)."""
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     terms = {(q + 1, 0): 1, (0, q + 1): 1}
     for i in range(e):
         k = 1 << i
@@ -278,7 +276,7 @@ def _cab_poly(q, ctx, a, b):
 
     (V^q + V + (a+b) W) (1 + W^(q-1))^(q/2)  +  W^q sum_i b^(2^i) (1 + W^(q-1))^(q/2 - 2^i)
     """
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     V = BiPoly.X(ctx)
     W = BiPoly.Y(ctx)
     base = BiPoly.const(ctx, 1) + BiPoly(ctx, {(0, q - 1): 1})
@@ -320,7 +318,7 @@ def verify_product_identity(q, mutate=False):
     With mutate=True the +1 on the right-hand side is dropped; the comparison
     must then fail, which the tests use as a falsifiability control.
     """
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     ctx = make_field(2, 2 * e)
     n = q + 1
     w0 = _unit_root(ctx, n)
@@ -346,14 +344,14 @@ def verify_b_action(q, alpha, beta, mutate=False):
     With mutate=True the diagonal is misapplied as w -> g w, which must break
     the identity.
     """
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     if alpha.ctx.p != 2 or beta.ctx.p != 2:
         raise ValueError("parameters must live in characteristic 2")
     if alpha.i == 0 or beta.i == 0:
         raise ValueError("alpha and beta must be nonzero")
     amb = make_field(2, math.lcm(e, alpha.ctx.e, beta.ctx.e))
-    a = embed(alpha.ctx, amb).apply(alpha.i) if alpha.ctx.e != amb.e else alpha.i
-    b = embed(beta.ctx, amb).apply(beta.i) if beta.ctx.e != amb.e else beta.i
+    a = lift(alpha, amb).i
+    b = lift(beta, amb).i
     E = _cab_poly(q, amb, a, b)
     V = BiPoly.X(amb)
     W = BiPoly.Y(amb)
@@ -400,21 +398,18 @@ def sl2_certificate(q, alpha, beta=None):
     default beta is the square root of alpha + alpha^2, and passing any other
     beta produces a report whose failing steps localize the defect.
     """
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     actx = alpha.ctx
     if actx.p != 2:
         raise ValueError("alpha must live in characteristic 2")
     if alpha.i in (0, 1):
         raise ValueError("alpha must lie outside F_2")
     amb = make_field(2, math.lcm(2 * e, actx.e))
-    a = embed(actx, amb).apply(alpha.i) if actx.e != amb.e else alpha.i
+    a = lift(alpha, amb).i
     if beta is None:
         b = amb.sqrt_(amb.add(a, amb.mul(a, a)))
     else:
-        bctx = beta.ctx
-        if bctx.p != 2 or amb.e % bctx.e:
-            raise ValueError("beta does not embed in the working field")
-        b = embed(bctx, amb).apply(beta.i) if bctx.e != amb.e else beta.i
+        b = lift(beta, amb).i
     if b == 0:
         raise ValueError("beta must be nonzero")
     defect = amb.add(amb.add(amb.mul(a, a), a), amb.mul(b, b))
@@ -528,7 +523,7 @@ def sl2_certificate(q, alpha, beta=None):
         # the root parameter W = r names the projective point [g^2 + g r : 1 : r]
         y0 = amb.add(g2, amb.mul(g, r))
         p0 = (y0, 1, r)
-        assert _plane_eval_proj(q, amb, c_idx, p0) == 0
+        assert _plane_eval_proj(q, e, amb, c_idx, p0) == 0
         ok_moved = True
         for k in range(1, q + 1):
             eta = amb.pow_(g, k)
@@ -561,9 +556,8 @@ def sl2_certificate(q, alpha, beta=None):
     }
 
 
-def _plane_eval_proj(q, ctx, c, point):
-    """Evaluate the homogenized plane equation at a projective triple."""
-    e = _exp_of(q, 2)
+def _plane_eval_proj(q, e, ctx, c, point):
+    """Evaluate the homogenized plane equation at a projective triple; q = 2^e."""
     y, z, wv = point
     acc = ctx.add(ctx.pow_(y, q + 1), ctx.pow_(z, q + 1))
     yz = ctx.mul(y, z)
@@ -603,14 +597,14 @@ def quotient_relations_report(q, alpha, beta):
     identity; when beta^2 = alpha + alpha^2 it further satisfies
     t * image(t) = 1/z^(q-1).  All checks are formal polynomial identities.
     """
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     if alpha.ctx.p != 2 or beta.ctx.p != 2:
         raise ValueError("parameters must live in characteristic 2")
     if alpha.i == 0 or beta.i == 0:
         raise ValueError("alpha and beta must be nonzero")
     amb = make_field(2, math.lcm(alpha.ctx.e, beta.ctx.e))
-    a = embed(alpha.ctx, amb).apply(alpha.i) if alpha.ctx.e != amb.e else alpha.i
-    b = embed(beta.ctx, amb).apply(beta.i) if beta.ctx.e != amb.e else beta.i
+    a = lift(alpha, amb).i
+    b = lift(beta, amb).i
     c0 = amb.add(amb.add(amb.mul(a, a), a), amb.mul(b, b))
 
     t = UniPoly.X(amb)
@@ -704,8 +698,8 @@ def artin_schreier_model(q, alpha, beta):
     if alpha.ctx.p != 2 or beta.ctx.p != 2:
         raise ValueError("parameters must live in characteristic 2")
     amb = make_field(2, math.lcm(alpha.ctx.e, beta.ctx.e))
-    a = embed(alpha.ctx, amb).apply(alpha.i) if alpha.ctx.e != amb.e else alpha.i
-    b = embed(beta.ctx, amb).apply(beta.i) if beta.ctx.e != amb.e else beta.i
+    a = lift(alpha, amb).i
+    b = lift(beta, amb).i
     return CurveModel("artin_schreier", q, amb, (a, b), _cab_poly(q, amb, a, b))
 
 
@@ -721,17 +715,16 @@ def smoothness_check(model):
     if model.variant != "plane":
         raise ValueError("smoothness check applies to the plane model")
     q = model.q
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     work = make_field(2, math.lcm(2 * e, model.ambient.e))
-    c = (embed(model.ambient, work).apply(model.params[0])
-         if model.ambient.e != work.e else model.params[0])
+    c = lift(FieldElem(model.ambient, model.params[0]), work).i
     big = make_field(2, 2 * e)
     up = embed(big, work)
     singular = []
     for yi in range(big.order):
         y = up.apply(yi)
         z = work.pow_(y, q)
-        val = _plane_eval_proj(q, work, c, (y, z, 1))
+        val = _plane_eval_proj(q, e, work, c, (y, z, 1))
         if val == 0:
             # partials vanish by construction; record the point
             assert work.add(work.pow_(y, q), z) == 0
@@ -762,8 +755,31 @@ def _spread_table():
     return _SPREAD16
 
 
+# field elements per numpy pass: 2^14 int64 arrays stay in cache
+VEC_CHUNK = 1 << 14
+
+_CLMUL8 = None
+
+
+def _clmul8_table():
+    """Carry-less products of all byte pairs, indexed by (a << 8) | b."""
+    global _CLMUL8
+    if _CLMUL8 is None:
+        x = np.arange(1 << 16, dtype=np.int64)
+        r = np.zeros(1 << 16, dtype=np.int64)
+        for i in range(8):
+            r ^= ((x >> i) & 1) * ((x >> 8) << i)
+        _CLMUL8 = r
+    return _CLMUL8
+
+
 class VecField:
-    """GF(2^N) arithmetic on numpy int64 arrays of packed elements, N <= 24."""
+    """GF(2^N) arithmetic on numpy int64 arrays of packed elements, N <= 24.
+
+    Products are carry-less byte-by-byte table lookups; reduction folds the
+    bits from N up back in a byte at a time, since h -> (h << N) mod f is
+    F_2-linear.
+    """
 
     def __init__(self, ctx):
         assert ctx.p == 2 and ctx.e <= 24
@@ -771,16 +787,31 @@ class VecField:
         self.N = ctx.e
         self.mask = sum(bit << i for i, bit in enumerate(ctx.modulus))
         self._spread = _spread_table()
+        self._clmul = _clmul8_table()
+        self._nbytes = (self.N + 7) // 8
+        self._fold = [self._reduce_bits(np.arange(256, dtype=np.int64) << (self.N + 8 * k),
+                                        self.N + 8 * k + 7)
+                      for k in range(self._nbytes)]
 
-    def reduce(self, r):
-        for i in range(2 * self.N - 2, self.N - 1, -1):
+    def _reduce_bits(self, r, top):
+        for i in range(top, self.N - 1, -1):
             r = r ^ (((r >> i) & 1) * (self.mask << (i - self.N)))
         return r
 
+    def reduce(self, r):
+        h = r >> self.N
+        r = r & ((1 << self.N) - 1)
+        for k, fold in enumerate(self._fold):
+            r = r ^ fold[(h >> (8 * k)) & 0xFF]
+        return r
+
     def mul(self, a, b):
+        bb = [(b >> (8 * j)) & 0xFF for j in range(self._nbytes)]
         r = 0
-        for i in range(self.N):
-            r = r ^ (((b >> i) & 1) * (a << i))
+        for i in range(self._nbytes):
+            hi = ((a >> (8 * i)) & 0xFF) << 8
+            for j, bj in enumerate(bb):
+                r = r ^ (self._clmul[hi | bj] << (8 * (i + j)))
         return self.reduce(r)
 
     def sq(self, a):
@@ -932,7 +963,7 @@ def _plane_worker_run(span):
 
 def _count_plane_fiber(model, m, threads):
     q = model.q
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     ext, params = _ext_with_param(model, m)
     c = params[0]
     Q = ext.order
@@ -941,7 +972,7 @@ def _count_plane_fiber(model, m, threads):
     total = n                                 # points at infinity
     if ext.pow_(c, chi_exp) == 1:             # y = 0 and z = 0 sections
         total += 2 * n
-    chunk = 1 << 20
+    chunk = VEC_CHUNK
     spans = [(lo, min(lo + chunk, Q)) for lo in range(1, Q, chunk)]
     if threads > 1 and len(spans) > 1:
         with multiprocessing.Pool(
@@ -960,7 +991,7 @@ def _count_plane_fiber(model, m, threads):
 
 def _count_plane_perz(model, m):
     q = model.q
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     ext, params = _ext_with_param(model, m)
     c = params[0]
     Q = ext.order
@@ -982,7 +1013,7 @@ def _count_plane_perz(model, m):
 
 def _count_plane_brute(model, m):
     q = model.q
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     ext, params = _ext_with_param(model, m)
     c = params[0]
     Q = ext.order
@@ -1007,7 +1038,7 @@ def _count_as_affine(model, m):
     w^(q-1) = 1 are poles of the right-hand side and are excluded.
     """
     q = model.q
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     ext, params = _ext_with_param(model, m)
     a, b = params
     vf = VecField(ext)
@@ -1017,7 +1048,7 @@ def _count_as_affine(model, m):
     Q = ext.order
     ab = ext.add(a, b)
     total = kappa                             # w = 0: right side vanishes
-    chunk = 1 << 20
+    chunk = VEC_CHUNK
     for lo in range(1, Q, chunk):
         w = np.arange(lo, min(lo + chunk, Q), dtype=np.int64)
         wq = vf.pow2(w, e)
@@ -1216,7 +1247,7 @@ def weil_contradiction_report(q):
     """
     if q not in (8, 32):
         raise ValueError("report covers q = 8 and q = 32")
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     g = q * (q - 1) // 2
     group = q * (q * q - 1)
     places = group // 2

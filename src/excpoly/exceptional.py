@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import sympy
 
-from .families import FamilySpec, _exp_of
-from .ff import FieldCtx, FieldElem, embed, field_from_json, make_field
+from .families import FamilySpec
+from .ff import FieldCtx, FieldElem, field_from_json, lift, log_p, make_field
 from .poly import UniPoly
 
 #: Default cap on the size of any single exhaustively enumerated field.
@@ -92,19 +92,6 @@ def _eval_all(coeffs, field, threads):
     return out
 
 
-def _rebase(f, field):
-    """View f over the requested field, pushing coefficients through the
-    canonical embedding when the fields differ."""
-    if f.ctx == field:
-        return f
-    if f.ctx.p != field.p or field.e % f.ctx.e:
-        raise ValueError(
-            f"coefficients live in GF({f.ctx.p}^{f.ctx.e}), "
-            f"which does not embed in GF({field.p}^{field.e})"
-        )
-    return f.map_coeffs(embed(f.ctx, field))
-
-
 def is_permutation(f, field, threads=1, guard=SIZE_GUARD):
     """Exhaustively test whether f permutes the given field.
 
@@ -115,7 +102,7 @@ def is_permutation(f, field, threads=1, guard=SIZE_GUARD):
     """
     if field.order > guard:
         raise ValueError(f"field of order {field.order} exceeds the guard {guard}")
-    g = _rebase(f, field)
+    g = lift(f, field)
     vals = _eval_all(g.c, field, max(1, int(threads)))
     n = field.order
     first = array("i", [-1]) * n
@@ -197,7 +184,7 @@ def _verdict_char2_tower(spec, base):
     _require(base.p == 2, "base field must have characteristic 2")
     q = spec.q
     _require(q is not None and q >= 4, "family needs q = 2^e with e >= 2")
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     a = spec.alpha
     if spec.kind == "char2_new":
         _require(a is not None and a.i not in (0, 1), "alpha must lie outside F_2")
@@ -213,14 +200,14 @@ def _verdict_char3(spec, base):
     _require(base.p == 3, "base field must have characteristic 3")
     q = spec.q
     _require(q is not None and q >= 9, "family needs q = 3^e with e >= 2")
-    e = _exp_of(q, 3)
+    e = log_p(q, 3)
     _require(e % 2 == 1, "q + 1 is divisible by 4 only for odd e")
     n = spec.n
     _require(n is not None and n >= 1 and (q + 1) % (4 * n) == 0, "n must divide (q+1)/4")
     a = spec.alpha
     _require(a is not None and a.i != 0, "alpha must be a unit")
     _require(base.e % a.ctx.e == 0, "alpha does not embed in the base field")
-    aidx = a.i if a.ctx == base else embed(a.ctx, base).apply(a.i)
+    aidx = lift(a, base).i
     s = base.order
     dd = math.gcd(2 * n, s - 1)
     # k*/(k*)^{2n} is cyclic of order dd; a coset is trivial exactly when

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ff import FieldCtx, FieldElem, embed, field_from_json, make_field
+from .ff import FieldCtx, FieldElem, embed, field_from_json, log_p, make_field
 from .poly import UniPoly
 
 __all__ = [
@@ -36,23 +36,13 @@ class NotInFamily(Exception):
     """canonicalize could not express the input inside the family."""
 
 
-def _exp_of(q, p):
-    e = 0
-    t = q
-    while t > 1 and t % p == 0:
-        t //= p
-        e += 1
-    assert t == 1 and e >= 1, f"{q} is not a power of {p}"
-    return e
-
-
 def trace_poly(q, ctx=None):
     """The additive polynomial T with T(x)^2 + T(x) = x^q + x.
 
     T(X) = X + X^2 + X^4 + ... + X^(q/2); coefficients are 0/1 so any
     characteristic-2 context works.
     """
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     if ctx is None:
         ctx = make_field(2, e)
     assert ctx.p == 2
@@ -69,7 +59,7 @@ def f_closed(q, alpha):
     division.  Requires alpha outside GF(2).
     """
     ctx = alpha.ctx
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     assert e >= 2, "q must be at least 4"
     assert ctx.p == 2
     a = alpha.i
@@ -103,7 +93,7 @@ def f_product(q, a):
     coefficient field of a.
     """
     ctx = a.ctx
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     assert e >= 2 and ctx.p == 2
     amb = make_field(2, math.lcm(e, ctx.e))
     up = embed(ctx, amb)
@@ -149,7 +139,7 @@ def family_iv(q, n, alpha):
     odd, n dividing q+1, alpha nonzero.
     """
     ctx = alpha.ctx
-    e = _exp_of(q, 2)
+    e = log_p(q, 2)
     assert ctx.p == 2 and q > 2
     assert e % 2 == 1, "the exponent e must be odd"
     assert (q + 1) % n == 0, "n must divide q+1"
@@ -172,7 +162,7 @@ def family_v(q, n, alpha):
     q+1, alpha nonzero.  The inner division is certified exact.
     """
     ctx = alpha.ctx
-    e = _exp_of(q, 3)
+    e = log_p(q, 3)
     assert ctx.p == 3
     assert e % 2 == 1, "the exponent e must be odd"
     assert (q + 1) % (4 * n) == 0, "4n must divide q+1"
@@ -315,8 +305,7 @@ def canonicalize(f, q):
     any step refuses.
     """
     ctx = f.ctx
-    e = q.bit_length() - 1
-    if q != 1 << e or e < 2 or ctx.p != 2:
+    if q < 4 or q & (q - 1) or ctx.p != 2:
         raise NotInFamily(f"q = {q} is not a usable power of 2 for this field")
     D = q * (q - 1) // 2
     if f.degree != D:

@@ -11,7 +11,8 @@ polynomials when (p, e) is listed there; otherwise it is found by a
 deterministic ascending search over integer-encoded monic polynomials,
 keeping the first primitive irreducible one.  Either way the constructor
 re-verifies irreducibility and primitivity, so the table cannot silently
-poison arithmetic.
+poison arithmetic.  The coefficient-list polynomial kernels that poly wraps,
+the root splitter behind embeddings and poly.roots, and lift live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "make_field",
     "embed",
     "rel_trace",
+    "lift",
+    "log_p",
     "arith",
     "field_from_json",
 ]
@@ -50,94 +53,172 @@ CONWAY = {
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over the prime field, used only to validate moduli
+# raw kernels on coefficient lists (low degree first, may carry trailing zeros)
+# over any context; poly wraps them, and the modulus checks run them over GF(p)
 
-def _pf_norm(a):
+def _norm(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _pf_mul(a, b, p):
+def _add(ctx, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ctx.add(out[i], c)
+    return _norm(out)
+
+
+def _neg(ctx, a):
+    if ctx.p == 2:
+        return list(a)
+    return [ctx.neg(c) for c in a]
+
+
+def _sub(ctx, a, b):
+    return _add(ctx, a, _neg(ctx, b))
+
+
+def _mul(ctx, a, b):
     if not a or not b:
         return []
-    r = [0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    cmul = ctx.mul
+    cadd = ctx.add
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] + ai * bj) % p
-    return _pf_norm(r)
+                if bj:
+                    out[i + j] = cadd(out[i + j], cmul(ai, bj))
+    return _norm(out)
 
 
-def _pf_mod(a, f, p):
-    # f must be monic
+def _divmod(ctx, a, b):
+    b = _norm(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df:
+    db = len(b) - 1
+    inv_lead = ctx.inv(b[-1])
+    q = [0] * max(len(a) - db, 0)
+    while len(_norm(a)) - 1 >= db:
         lead = a[-1]
-        if lead:
-            k = len(a) - 1 - df
-            for i in range(df):
-                a[k + i] = (a[k + i] - lead * f[i]) % p
+        k = len(a) - 1 - db
+        coef = ctx.mul(lead, inv_lead)
+        q[k] = coef
+        for i in range(db):
+            a[k + i] = ctx.sub(a[k + i], ctx.mul(coef, b[i]))
         a.pop()
-    return _pf_norm(a)
+    return _norm(q), _norm(a)
 
 
-def _pf_powmod(a, n, f, p):
+def _mod(ctx, a, b):
+    return _divmod(ctx, a, b)[1]
+
+
+def _monic(ctx, a):
+    if not a or a[-1] == 1:
+        return list(a)
+    inv = ctx.inv(a[-1])
+    return [ctx.mul(c, inv) for c in a]
+
+
+def _gcd(ctx, a, b):
+    a = _norm(list(a))
+    b = _norm(list(b))
+    while b:
+        a, b = b, _mod(ctx, a, b)
+    return _monic(ctx, a)
+
+
+def _powmod(ctx, a, n, f):
     r = [1]
-    a = _pf_mod(a, f, p)
+    a = _mod(ctx, a, f)
     while n:
         if n & 1:
-            r = _pf_mod(_pf_mul(r, a, p), f, p)
+            r = _mod(ctx, _mul(ctx, r, a), f)
         n >>= 1
         if n:
-            a = _pf_mod(_pf_mul(a, a, p), f, p)
+            a = _mod(ctx, _mul(ctx, a, a), f)
     return r
 
 
-def _pf_gcd(a, b, p):
-    a = _pf_norm(list(a))
-    b = _pf_norm(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = bm, _pf_mod(a, bm, p)
-    return a
+def _eval(ctx, a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
 
 
-def _pf_is_irreducible(f, p):
+def _deriv(ctx, a):
+    out = []
+    for i in range(1, len(a)):
+        out.append(ctx.mul(a[i], i % ctx.p))
+    return _norm(out)
+
+
+def _trace_map(ctx, r, k, g):
+    """r + r^2 + r^4 + ... + r^(2^(k-1)) mod g, in characteristic 2."""
+    t = _mod(ctx, r, g)
+    s = t
+    for _ in range(k - 1):
+        t = _mod(ctx, _mul(ctx, t, t), g)
+        s = _add(ctx, s, t)
+    return s
+
+
+def _split_roots(ctx, g):
+    """All roots in ctx of a monic squarefree g that splits into linear factors.
+
+    Fields of at most 2^12 elements are enumerated.  Larger ones split g by
+    gcd with the trace of uX along a basis of u in characteristic 2, and with
+    (X + a)^((Q-1)/2) - 1 for a = 0, 1, ... in odd characteristic
+    (Cantor-Zassenhaus).
+    """
+    if ctx.order <= 1 << 12:
+        return [a for a in range(ctx.order) if _eval(ctx, g, a) == 0]
+    found = []
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        d = len(g) - 1
+        if d == 1:
+            found.append(ctx.neg(g[0]))
+        if d <= 1:
+            continue
+        for a in range(ctx.e if ctx.p == 2 else ctx.order):
+            if ctx.p == 2:
+                s = _trace_map(ctx, [0, 1 << a], ctx.e, g)
+            else:
+                s = _sub(ctx, _powmod(ctx, [a, 1], (ctx.order - 1) // 2, g), [1])
+            h = _gcd(ctx, s, g)
+            if 0 < len(h) - 1 < d:
+                stack += [h, _divmod(ctx, g, h)[0]]
+                break
+        else:
+            raise ArithmeticError("root splitting failed; g is not squarefree and split")
+    return found
+
+
+def _is_irreducible(f, pf):
+    # f monic of degree >= 2 over the prime field pf
     e = len(f) - 1
-    if e < 1:
-        return False
-    if e == 1:
-        return True
     x = [0, 1]
-    if _pf_powmod(x, p**e, f, p) != x:
+    if _powmod(pf, x, pf.order**e, f) != x:
         return False
     for r in sympy.primefactors(e):
-        h = _pf_powmod(x, p ** (e // r), f, p)
-        d = [0] * max(len(h), 2)
-        for i, c in enumerate(h):
-            d[i] = c
-        d[1] = (d[1] - 1) % p
-        if len(_pf_gcd(d, f, p)) != 1:
+        h = _sub(pf, _powmod(pf, x, pf.order ** (e // r), f), x)
+        if len(_gcd(pf, h, f)) != 1:
             return False
     return True
 
 
-def _pf_is_primitive(f, p, unit_factors):
-    # f monic irreducible; is the class of x a generator of the units?
-    e = len(f) - 1
-    n = p**e - 1
-    if e == 1:
-        g = (-f[0]) % p
-        if g == 0:
-            return False
-        return all(pow(g, n // r, p) != 1 for r in unit_factors)
-    for r in unit_factors:
-        if _pf_powmod([0, 1], n // r, f, p) == [1]:
-            return False
-    return True
+def _is_primitive(f, pf, unit_factors):
+    # f monic irreducible of degree >= 2; is the class of x a generator of the units?
+    n = pf.order ** (len(f) - 1) - 1
+    return all(_powmod(pf, [0, 1], n // r, f) != [1] for r in unit_factors)
 
 
 def _digits(n, p, e):
@@ -149,16 +230,15 @@ def _digits(n, p, e):
 
 
 def _search_modulus(p, e):
-    """First (by integer encoding) monic primitive irreducible of degree e."""
+    """First (by integer encoding) monic primitive irreducible of degree e >= 2."""
+    pf = make_field(p, 1)
     n = p**e - 1
-    unit_factors = sorted(sympy.factorint(n)) if n > 1 else []
+    unit_factors = sorted(sympy.factorint(n))
     for c in range(p**e):
         f = _digits(c, p, e) + [1]
-        if f[0] == 0:
-            continue
-        if not _pf_is_irreducible(f, p):
-            continue
-        if _pf_is_primitive(f, p, unit_factors):
+        if any(_eval(pf, f, a) == 0 for a in range(p)):
+            continue  # a root in GF(p): reducible
+        if _is_irreducible(f, pf) and _is_primitive(f, pf, unit_factors):
             return tuple(f)
     raise RuntimeError(f"no primitive polynomial of degree {e} over GF({p})")
 
@@ -188,14 +268,20 @@ class FieldCtx:
         self.e = e
         self.order = order
         self.modulus = modulus
-        if not _pf_is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         n = order - 1
         self._unit_factors = sorted(sympy.factorint(n)) if n > 1 else []
-        if not _pf_is_primitive(list(modulus), p, self._unit_factors):
-            raise ValueError(f"modulus {modulus} is not primitive")
         # the class of x generates the units; for e = 1 that class is -c0
         self.gen = (p - modulus[0]) % p if e == 1 else p
+        if e == 1:
+            primitive = self.gen != 0 and all(
+                pow(self.gen, n // r, p) != 1 for r in self._unit_factors)
+        else:
+            self._pf = make_field(p, 1)
+            if not _is_irreducible(list(modulus), self._pf):
+                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            primitive = _is_primitive(list(modulus), self._pf, self._unit_factors)
+        if not primitive:
+            raise ValueError(f"modulus {modulus} is not primitive")
         if p == 2:
             self._mask = sum(bit << i for i, bit in enumerate(modulus))
         self._exp = None
@@ -231,9 +317,13 @@ class FieldCtx:
                 b >>= 1
                 a <<= 1
             return self._reduce2(r)
+        if self.e == 1:
+            return a * b % self.p
         ad = _digits(a, self.p, self.e)
         bd = _digits(b, self.p, self.e)
-        prod = _pf_mod(_pf_mul(ad, bd, self.p), list(self.modulus), self.p)
+        # b leads: _mul skips zero digits of its first factor, and the table
+        # build passes b = x, a single digit
+        prod = _mod(self._pf, _mul(self._pf, bd, ad), self.modulus)
         out = 0
         for c in reversed(prod):
             out = out * self.p + c
@@ -504,103 +594,6 @@ def field_from_json(obj):
 # ---------------------------------------------------------------------------
 # embeddings
 
-def _v_norm(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _v_divmod(ctx, a, b):
-    # b monic (leading coefficient 1)
-    assert b and b[-1] == 1
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db:
-        lead = a[-1]
-        if lead:
-            k = len(a) - 1 - db
-            q[k] = lead
-            for i in range(db):
-                a[k + i] = ctx.sub(a[k + i], ctx.mul(lead, b[i]))
-        a.pop()
-    return _v_norm(q), _v_norm(a)
-
-
-def _v_mulmod(ctx, a, b, f):
-    if not a or not b:
-        return []
-    r = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    r[i + j] = ctx.add(r[i + j], ctx.mul(ai, bj))
-    return _v_divmod(ctx, r, f)[1]
-
-
-def _v_monic(ctx, a):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = ctx.inv(a[-1])
-    return [ctx.mul(c, inv) for c in a]
-
-
-def _v_gcd(ctx, a, b):
-    a = _v_norm(list(a))
-    b = _v_norm(list(b))
-    while b:
-        bm = _v_monic(ctx, b)
-        a, b = bm, _v_divmod(ctx, a, bm)[1]
-    return a
-
-
-def _v_tracemap(ctx, u, g):
-    # sum over i < e of (u X)^(2^i), reduced mod g; p = 2 only
-    t = _v_divmod(ctx, [0, u], g)[1]
-    acc = list(t) + [0] * (len(g) - 1 - len(t))
-    for _ in range(ctx.e - 1):
-        t = _v_mulmod(ctx, t, t, g)
-        for i, c in enumerate(t):
-            acc[i] = ctx.add(acc[i], c)
-    return _v_norm(acc)
-
-
-def _roots_in_ctx(modcoeffs, sup):
-    """All roots in sup of a squarefree prime-field polynomial."""
-    f = _v_norm([c % sup.p for c in modcoeffs])
-    if sup.order <= TABLE_LIMIT:
-        roots = []
-        for a in range(sup.order):
-            acc = 0
-            for c in reversed(f):
-                acc = sup.add(sup.mul(acc, a), c)
-            if acc == 0:
-                roots.append(a)
-        return roots
-    assert sup.p == 2, "large-field root search is wired for p = 2 only"
-    roots = []
-    stack = [_v_monic(sup, f)]
-    while stack:
-        g = stack.pop()
-        d = len(g) - 1
-        if d <= 0:
-            continue
-        if d == 1:
-            roots.append(g[0])
-            continue
-        for ubit in range(sup.e):
-            s = _v_tracemap(sup, 1 << ubit, g)
-            h = _v_gcd(sup, s, g)
-            if 0 < len(h) - 1 < d:
-                stack.append(h)
-                stack.append(_v_divmod(sup, g, h)[0])
-                break
-        else:
-            raise AssertionError("trace splitting failed on a squarefree input")
-    return roots
-
-
 class Embedding:
     """Field inclusion GF(p^d) -> GF(p^e) for d dividing e.
 
@@ -611,8 +604,8 @@ class Embedding:
     """
 
     def __init__(self, sub, sup):
-        assert sub.p == sup.p, "embeddings need equal characteristic"
-        assert sup.e % sub.e == 0, f"GF({sub.order}) does not sit inside GF({sup.order})"
+        if sub.p != sup.p or sup.e % sub.e:
+            raise ValueError(f"GF({sub.p}^{sub.e}) does not embed in GF({sup.p}^{sup.e})")
         self.sub = sub
         self.sup = sup
         self.root = self._pick_root()
@@ -624,16 +617,10 @@ class Embedding:
 
     def _pick_root(self):
         sub, sup = self.sub, self.sup
-        if sub.e == sup.e:
-            return sup.gen
-        n = (sup.order - 1) // (sub.order - 1)
-        cand = sup.pow_(sup.gen, n)
-        acc = 0
-        for c in reversed(sub.modulus):
-            acc = sup.add(sup.mul(acc, cand), c)
-        if acc == 0:
+        cand = sup.pow_(sup.gen, (sup.order - 1) // (sub.order - 1))
+        if _eval(sup, sub.modulus, cand) == 0:
             return cand
-        return min(_roots_in_ctx(sub.modulus, sup))
+        return min(_split_roots(sup, list(sub.modulus)))
 
     def apply(self, a):
         sup = self.sup
@@ -681,6 +668,32 @@ def embed(sub, sup):
     return emb
 
 
+def lift(x, ctx):
+    """A FieldElem or UniPoly carried into ctx by the canonical embedding.
+
+    x itself comes back when it already lives over ctx; a ValueError names
+    a field that does not embed.
+    """
+    if x.ctx == ctx:
+        return x
+    emb = embed(x.ctx, ctx)
+    if isinstance(x, FieldElem):
+        return emb(x)
+    return x.map_coeffs(emb)
+
+
+def log_p(q, p):
+    """The e >= 1 with q = p^e; a ValueError when q is no such power."""
+    e = 0
+    t = q
+    while t > 1 and t % p == 0:
+        t //= p
+        e += 1
+    if t != 1 or e < 1:
+        raise ValueError(f"{q} is not a power of {p}")
+    return e
+
+
 def rel_trace(q, x):
     """Relative trace of x down to the subfield of size q.
 
@@ -688,14 +701,9 @@ def rel_trace(q, x):
     canonical GF(q) context.
     """
     ctx = x.ctx
-    p = ctx.p
-    d = 0
-    t = q
-    while t > 1 and t % p == 0:
-        t //= p
-        d += 1
-    assert t == 1 and d >= 1, f"{q} is not a power of the characteristic {p}"
-    assert ctx.e % d == 0, f"GF({ctx.order}) is not an extension of GF({q})"
+    d = log_p(q, ctx.p)
+    if ctx.e % d:
+        raise ValueError(f"GF({ctx.order}) is not an extension of GF({q})")
     m = ctx.e // d
     acc = 0
     cur = x.i
@@ -704,7 +712,7 @@ def rel_trace(q, x):
         cur = ctx.pow_(cur, q)
     if d == ctx.e:
         return FieldElem(ctx, acc)
-    sub = make_field(p, d)
+    sub = make_field(ctx.p, d)
     emb = embed(sub, ctx)
     j = emb.section_index(acc)
     assert j is not None, "relative trace landed outside the subfield"

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ff import FieldElem, embed, field_from_json, make_field
+from .ff import FieldElem, embed, field_from_json, lift, log_p, make_field
 from .poly import UniPoly, factor
 
 # Exhaustive sampling is capped at this base-field size.
@@ -40,13 +40,6 @@ EXHAUSTIVE_LIMIT = 1 << 20
 VECTOR_MIN_FIBERS = 128
 # How many fibers of each vectorized run are re-checked directly.
 VECTOR_SPOT_CHECKS = 3
-
-
-def _exp2_of(q):
-    e = q.bit_length() - 1
-    if q != 1 << e:
-        raise ValueError("q must be a power of 2, got %r" % (q,))
-    return e
 
 
 class CycleDist:
@@ -148,7 +141,7 @@ class PermAction:
         if q not in (4, 8, 16, 32):
             raise ValueError("q must be one of 4, 8, 16, 32, got %r" % (q,))
         self.q = q
-        self.e = _exp2_of(q)
+        self.e = log_p(q, 2)
         self.ctx2 = make_field(2, 2 * self.e)
         ctx2 = self.ctx2
         gfq = make_field(2, self.e)
@@ -304,17 +297,6 @@ def coset_cycle_types(q, j):
 # Shape engines
 
 
-def _embed_into(f, base):
-    """f with coefficients carried into the base field (or f itself)."""
-    if f.ctx == base:
-        return f
-    if f.ctx.p != base.p or base.e % f.ctx.e != 0:
-        raise ValueError(
-            "coefficient field GF(%d^%d) does not embed in base GF(%d^%d)"
-            % (f.ctx.p, f.ctx.e, base.p, base.e))
-    return f.map_coeffs(embed(f.ctx, base))
-
-
 def _shape_one(fb, t):
     """Radical factorization shape of f - t by direct factorization."""
     h = fb - UniPoly.const(fb.ctx, t)
@@ -331,7 +313,7 @@ def branch_points(f, base):
     of f' divides f - t, i.e. when f mod P is the constant t.  Factoring
     f' once per base therefore finds every branch value.
     """
-    fb = _embed_into(f, base)
+    fb = lift(f, base)
     fprime = fb.derivative()
     if fprime.is_zero():
         raise ValueError("derivative vanishes identically; every fiber is ramified")
@@ -569,7 +551,7 @@ def chebotarev_sample(f, base, mode="exhaustive", n=None, seed=None, threads=1):
     included; use CycleDist.unramified() to restrict before a
     Chebotarev comparison.
     """
-    fb = _embed_into(f, base)
+    fb = lift(f, base)
     if fb.degree < 1:
         raise ValueError("f must be nonconstant")
     size = base.order

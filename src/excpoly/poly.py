@@ -3,15 +3,31 @@
 Coefficients are stored as packed integer indices (see ff).  UniPoly is
 an immutable coefficient tuple, low degree first, with no trailing
 zeros; BiPoly is a sparse {(i, j): coeff} map in two variables X and Y.
-The raw list kernels (_mul, _divmod, _powmod, ...) are shared with the
-heavier counting code elsewhere in the package.
+The raw list kernels (_mul, _divmod, _powmod, ...) and the root splitter
+live in ff, which also runs them over GF(p) to check field moduli.
 """
 
 from __future__ import annotations
 
 import random
 
-from .ff import FieldCtx, FieldElem, TABLE_LIMIT, embed, field_from_json
+from .ff import (
+    FieldElem,
+    _add,
+    _deriv,
+    _divmod,
+    _eval,
+    _gcd,
+    _monic,
+    _mul,
+    _neg,
+    _powmod,
+    _split_roots,
+    _sub,
+    _trace_map,
+    field_from_json,
+    lift,
+)
 
 __all__ = [
     "UniPoly",
@@ -22,112 +38,6 @@ __all__ = [
     "upoly_arith",
     "bipoly_arith",
 ]
-
-
-# ---------------------------------------------------------------------------
-# raw kernels on coefficient lists (low degree first, may carry trailing zeros)
-
-def _norm(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _add(ctx, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = ctx.add(out[i], c)
-    return _norm(out)
-
-
-def _neg(ctx, a):
-    if ctx.p == 2:
-        return list(a)
-    return [ctx.neg(c) for c in a]
-
-
-def _sub(ctx, a, b):
-    return _add(ctx, a, _neg(ctx, b))
-
-
-def _mul(ctx, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    cmul = ctx.mul
-    cadd = ctx.add
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = cadd(out[i + j], cmul(ai, bj))
-    return _norm(out)
-
-
-def _divmod(ctx, a, b):
-    b = _norm(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = ctx.inv(b[-1])
-    q = [0] * max(len(a) - db, 0)
-    while len(_norm(a)) - 1 >= db:
-        lead = a[-1]
-        k = len(a) - 1 - db
-        coef = ctx.mul(lead, inv_lead)
-        q[k] = coef
-        for i in range(db):
-            a[k + i] = ctx.sub(a[k + i], ctx.mul(coef, b[i]))
-        a.pop()
-    return _norm(q), _norm(a)
-
-
-def _mod(ctx, a, b):
-    return _divmod(ctx, a, b)[1]
-
-
-def _monic(ctx, a):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = ctx.inv(a[-1])
-    return [ctx.mul(c, inv) for c in a]
-
-
-def _gcd(ctx, a, b):
-    a = _norm(list(a))
-    b = _norm(list(b))
-    while b:
-        a, b = b, _mod(ctx, a, b)
-    return _monic(ctx, a)
-
-
-def _powmod(ctx, a, n, f):
-    r = [1]
-    a = _mod(ctx, a, f)
-    while n:
-        if n & 1:
-            r = _mod(ctx, _mul(ctx, r, a), f)
-        n >>= 1
-        if n:
-            a = _mod(ctx, _mul(ctx, a, a), f)
-    return r
-
-
-def _eval(ctx, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
-def _deriv(ctx, a):
-    out = []
-    for i in range(1, len(a)):
-        out.append(ctx.mul(a[i], i % ctx.p))
-    return _norm(out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +325,7 @@ def _edf(g, d, rng):
             continue
         if ctx.p == 2:
             # trace map into GF(2) relative to the degree-d factor fields
-            s = r
-            t = r
-            for _ in range(ctx.e * d - 1):
-                t = t.pow_mod(2, g)
-                s = s + t
-            h = g.gcd(s)
+            h = g.gcd(UniPoly(ctx, _trace_map(ctx, list(r.c), ctx.e * d, list(g.c))))
         else:
             expo = (ctx.order**d - 1) // 2
             s = r.pow_mod(expo, g) - UniPoly.one(ctx)
@@ -458,18 +363,15 @@ def roots(f, field):
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no root list")
-    ctx = f.ctx
-    if field != ctx:
-        f = f.map_coeffs(embed(ctx, field))
+    f = lift(f, field)
     g = f.monic()
     # radical of the part splitting over `field`
     xq = UniPoly.X(field).pow_mod(field.order, g)
     rad = g.gcd(xq - UniPoly.X(field))
-    found = _all_roots_squarefree(rad)
     out = []
-    for r in sorted(found):
+    for r in sorted(_split_roots(field, list(rad.c))):
         m = 0
-        lin = UniPoly(field, (r, 1)) if field.p == 2 else UniPoly(field, (field.neg(r), 1))
+        lin = UniPoly(field, (field.neg(r), 1))
         work = f
         while True:
             q, rem = divmod(work, lin)
@@ -480,57 +382,6 @@ def roots(f, field):
         assert m >= 1
         out.append((FieldElem(field, r), m))
     return out
-
-
-def _all_roots_squarefree(g):
-    """All roots of a monic squarefree polynomial that splits completely."""
-    ctx = g.ctx
-    if g.degree <= 0:
-        return []
-    if ctx.order <= TABLE_LIMIT and ctx.order <= 1 << 12:
-        return [a for a in range(ctx.order) if g.eval_index(a) == 0]
-    roots_ = []
-    stack = [g]
-    while stack:
-        cur = stack.pop()
-        d = cur.degree
-        if d <= 0:
-            continue
-        if d == 1:
-            c0 = cur.c[0]
-            roots_.append(c0 if ctx.p == 2 else ctx.neg(c0))
-            continue
-        if ctx.p == 2:
-            split = None
-            for ubit in range(ctx.e):
-                u = UniPoly(ctx, (0, 1 << ubit))
-                s = u
-                t = u
-                for _ in range(ctx.e - 1):
-                    t = t.pow_mod(2, cur)
-                    s = s + t
-                h = cur.gcd(s)
-                if 0 < h.degree < d:
-                    split = h
-                    break
-            assert split is not None, "trace splitting failed"
-            stack.append(split)
-            stack.append(cur.exact_div(split))
-        else:
-            # odd characteristic: shift-and-power splitting
-            a = 0
-            while True:
-                shifted = cur.compose(UniPoly(ctx, (a, 1)))
-                s = UniPoly.X(ctx).pow_mod((ctx.order - 1) // 2, shifted)
-                h = shifted.gcd(s - UniPoly.one(ctx))
-                if 0 < h.degree < d:
-                    back = h.compose(UniPoly(ctx, (ctx.neg(a), 1)))
-                    stack.append(back.monic())
-                    stack.append(cur.exact_div(back.monic()))
-                    break
-                a += 1
-                assert a < ctx.order, "splitting exhausted the field"
-    return roots_
 
 
 # ---------------------------------------------------------------------------

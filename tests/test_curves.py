@@ -1,7 +1,10 @@
 """Curve models, algebraic identity certificates, point counting, and the
 L-polynomial pipeline."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excpoly import (
     FieldElem,
@@ -21,6 +24,7 @@ from excpoly import (
     weil_contradiction_report,
     zeta,
 )
+from excpoly.curves import VecField
 
 G2 = make_field(2, 1)
 G4 = make_field(2, 2)
@@ -187,6 +191,28 @@ def test_count_strategies_agree_on_small_extensions():
     assert count_points(model, 1, strategy="fiber") == 35
     assert count_points(model, 2, strategy="per-z") == 275
     assert count_points(model, 2, strategy="fiber") == 275
+
+
+@pytest.mark.parametrize("e", [3, 8, 9, 17, 24])
+def test_vector_field_kernels_match_scalar_arithmetic(e):
+    # the byte-table products and folds against the bit-serial scalar field
+    ctx = make_field(2, e)
+    vf = VecField(ctx)
+    elems = st.lists(st.integers(min_value=0, max_value=ctx.order - 1), min_size=1, max_size=40)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(elems, elems)
+    def check(a, b):
+        b = (b * len(a))[: len(a)]
+        va, vb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert vf.mul(va, vb).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+        assert vf.mul(va, b[0]).tolist() == [ctx.mul(x, b[0]) for x in a]
+        assert vf.sq(va).tolist() == [ctx.mul(x, x) for x in a]
+        nz = [x for x in a if x]
+        if nz:
+            assert vf.inv(np.array(nz, dtype=np.int64)).tolist() == [ctx.inv(x) for x in nz]
+
+    check()
 
 
 def test_count_first_extension_all_parameters():

@@ -46,9 +46,9 @@ def test_trace_poly_small_cases():
 
 
 def test_trace_poly_rejects_non_powers_of_two():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         trace_poly(6)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         trace_poly(27)
 
 
@@ -311,6 +311,9 @@ def test_canonicalize_rejects_wrong_degree_and_bad_q():
         canonicalize(UniPoly.monomial(G4, 27), 8)
     with pytest.raises(NotInFamily):
         canonicalize(UniPoly.monomial(G4, 15), 6)
+    for q in (0, 2):
+        with pytest.raises(NotInFamily):
+            canonicalize(UniPoly.monomial(G4, 28), q)
 
 
 def test_canonicalize_full_twist_round_trip():

@@ -1,12 +1,17 @@
 """Field arithmetic: construction, axioms, Frobenius, embeddings, traces."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excpoly import FieldElem, arith, embed, field_from_json, make_field, rel_trace
+import excpoly
+from excpoly import FieldElem, UniPoly, arith, embed, field_from_json, make_field, rel_trace
+from excpoly.ff import FieldCtx, TABLE_LIMIT, lift, log_p
 
 # every field here stays at or below 2^12 elements, so the per-element
 # sweeps are exhaustive
@@ -217,9 +222,9 @@ def test_embedding_gf4_into_gf16():
 
 
 def test_embedding_rejects_non_divisible_degrees():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         embed(make_field(2, 2), make_field(2, 3))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         embed(make_field(2, 2), make_field(3, 2))
 
 
@@ -270,9 +275,9 @@ def test_trace_kills_artin_schreier_images():
 
 def test_trace_rejects_non_subfield_order():
     x = make_field(2, 4).one
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         rel_trace(3, x)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         rel_trace(8, x)  # GF(16) does not extend GF(8)
 
 
@@ -297,3 +302,170 @@ def test_absolute_trace_values():
     g9 = make_field(3, 2)
     for a in g9.elements():
         assert 0 <= g9.abs_trace(a) < 3
+
+
+# ---------------------------------------------------------------------------
+# same-degree and large odd-characteristic embeddings, lift, log_p
+
+
+def test_same_degree_embedding_between_moduli_is_a_homomorphism():
+    sub = FieldCtx(2, 4, (1, 0, 0, 1, 1))
+    sup = make_field(2, 4)
+    assert sub != sup
+    emb = embed(sub, sup)
+    for a in sub.elements():
+        for b in sub.elements():
+            assert emb.apply(sub.mul(a, b)) == sup.mul(emb.apply(a), emb.apply(b))
+            assert emb.apply(sub.add(a, b)) == sup.add(emb.apply(a), emb.apply(b))
+    # lift reads a non-canonical alpha through the embedding, not as an index
+    alpha = FieldElem(sub, sub.gen)
+    assert lift(alpha, sup) == FieldElem(sup, emb.root)
+
+
+def test_odd_characteristic_embedding_above_the_enumeration_limit():
+    sub = make_field(3, 3)
+    sup = make_field(3, 12)
+    emb = embed(sub, sup)
+    rng = random.Random(3012)
+    for _ in range(200):
+        a, b = rng.randrange(sub.order), rng.randrange(sub.order)
+        assert emb.apply(sub.mul(a, b)) == sup.mul(emb.apply(a), emb.apply(b))
+        assert emb.apply(sub.add(a, b)) == sup.add(emb.apply(a), emb.apply(b))
+    assert emb.section_index(emb.apply(sub.gen)) == sub.gen
+
+
+def test_lift_moves_elements_and_polynomials():
+    g4, g16 = make_field(2, 2), make_field(2, 4)
+    x = FieldElem(g4, 2)
+    assert lift(x, g4) is x
+    assert lift(x, g16) == FieldElem(g16, embed(g4, g16).apply(2))
+    f = UniPoly(g4, (1, 2, 3))
+    assert lift(f, g4) is f
+    assert lift(f, g16) == f.map_coeffs(embed(g4, g16))
+    with pytest.raises(ValueError):
+        lift(x, make_field(2, 3))
+    with pytest.raises(ValueError):
+        lift(f, make_field(3, 2))
+
+
+def test_log_p():
+    assert [log_p(q, 2) for q in (2, 4, 8, 1 << 20)] == [1, 2, 3, 20]
+    assert log_p(27, 3) == 3
+    for q, p in ((1, 2), (0, 2), (6, 2), (12, 2), (8, 3), (18, 3)):
+        with pytest.raises(ValueError):
+            log_p(q, p)
+
+
+def test_library_checks_raise_under_python_O():
+    """The named errors must not depend on assert statements being live."""
+    code = """
+from excpoly.families import trace_poly
+from excpoly.ff import embed, lift, log_p, make_field, rel_trace
+cases = [
+    lambda: trace_poly(12),
+    lambda: embed(make_field(2, 2), make_field(3, 2)),
+    lambda: embed(make_field(2, 2), make_field(2, 3)),
+    lambda: rel_trace(8, make_field(2, 4).one),
+    lambda: lift(make_field(2, 2).one, make_field(2, 3)),
+    lambda: log_p(6, 2),
+]
+for i, case in enumerate(cases):
+    try:
+        case()
+    except ValueError:
+        continue
+    raise SystemExit("case %d raised no ValueError" % i)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(excpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden packed indices: every report reads elements through these moduli and
+# embedding roots, so a change here changes every report
+
+# make_field(p, e).modulus packed as sum c_i p^i
+GOLDEN_MODULI = {
+    (2, 1): 3, (2, 2): 7, (2, 3): 11, (2, 4): 19,
+    (2, 5): 37, (2, 6): 91, (2, 7): 131, (2, 8): 285,
+    (2, 9): 529, (2, 10): 1033, (2, 11): 2053, (2, 12): 4179,
+    (2, 13): 8219, (2, 14): 16427, (2, 15): 32771, (2, 16): 65581,
+    (2, 17): 131081, (2, 18): 262183, (2, 19): 524327, (2, 20): 1048585,
+    (2, 21): 2097157, (2, 22): 4194307, (2, 23): 8388641, (2, 24): 16777243,
+    (3, 1): 4, (3, 2): 17, (3, 3): 34, (3, 4): 86,
+    (3, 5): 250, (3, 6): 734, (3, 7): 2203, (3, 8): 6590,
+    (3, 9): 19747, (3, 10): 59081,
+}
+
+# embed(make_field(p, d), make_field(p, e)).root
+GOLDEN_ROOTS = {
+    (2, 1, 2): 1, (2, 1, 3): 1, (2, 1, 4): 1, (2, 2, 4): 6, (2, 1, 5): 1,
+    (2, 1, 6): 1, (2, 2, 6): 14, (2, 3, 6): 53, (2, 1, 7): 1, (2, 1, 8): 1,
+    (2, 2, 8): 214, (2, 4, 8): 152, (2, 1, 9): 1, (2, 3, 9): 336, (2, 1, 10): 1,
+    (2, 2, 10): 237, (2, 5, 10): 314, (2, 1, 11): 1, (2, 1, 12): 1, (2, 2, 12): 70,
+    (2, 3, 12): 937, (2, 4, 12): 1971, (2, 6, 12): 458, (2, 1, 13): 1, (2, 1, 14): 1,
+    (2, 2, 14): 8648, (2, 7, 14): 507, (2, 1, 15): 1, (2, 3, 15): 5682, (2, 5, 15): 316,
+    (2, 1, 16): 1, (2, 2, 16): 44234, (2, 4, 16): 15375, (2, 8, 16): 788, (2, 1, 17): 1,
+    (2, 1, 18): 1, (2, 2, 18): 95781, (2, 3, 18): 2979, (2, 6, 18): 1466, (2, 9, 18): 21073,
+    (2, 1, 19): 1, (2, 1, 20): 1, (2, 2, 20): 810475, (2, 4, 20): 265666, (2, 5, 20): 124473,
+    (2, 10, 20): 5941, (3, 1, 2): 2, (3, 1, 3): 2, (3, 1, 4): 2, (3, 2, 4): 44,
+    (3, 1, 5): 2, (3, 1, 6): 2, (3, 2, 6): 233, (3, 3, 6): 144, (3, 1, 7): 2,
+    (3, 1, 8): 2, (3, 2, 8): 2634, (3, 4, 8): 1397, (3, 1, 9): 2, (3, 3, 9): 1629,
+    (3, 1, 10): 2, (3, 2, 10): 1166, (3, 5, 10): 8959,
+}
+
+
+def test_golden_moduli():
+    for (p, e), packed in GOLDEN_MODULI.items():
+        m = make_field(p, e).modulus
+        assert sum(c * p**i for i, c in enumerate(m)) == packed, (p, e)
+
+
+def test_golden_embedding_roots():
+    for (p, d, e), root in GOLDEN_ROOTS.items():
+        assert embed(make_field(p, d), make_field(p, e)).root == root, (p, d, e)
+
+
+# ---------------------------------------------------------------------------
+# fields above TABLE_LIMIT: bit-serial (p = 2) and digit-kernel (p = 3) paths
+
+
+def _ref_mul(ctx, a, b):
+    """Schoolbook product of packed indices on plain digit lists."""
+    p, e, m = ctx.p, ctx.e, ctx.modulus
+    ad = [a // p**i % p for i in range(e)]
+    bd = [b // p**i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i in range(e):
+        for j in range(e):
+            prod[i + j] = (prod[i + j] + ad[i] * bd[j]) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k]
+        for i in range(e):
+            prod[k - e + i] = (prod[k - e + i] - c * m[i]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:e]))
+
+
+@pytest.mark.parametrize("p,e", [(2, 18), (3, 11)])
+def test_untabled_arithmetic_properties(p, e):
+    ctx = make_field(p, e)
+    assert ctx.order > TABLE_LIMIT
+    elem = st.integers(min_value=0, max_value=ctx.order - 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(elem, elem, elem)
+    def check(a, b, c):
+        ab = ctx.mul(a, b)
+        assert ab == _ref_mul(ctx, a, b) == ctx.mul(b, a)
+        assert ctx.mul(ab, c) == ctx.mul(a, ctx.mul(b, c))
+        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ab, ctx.mul(a, c))
+        if a:
+            assert ctx.mul(a, ctx.inv(a)) == 1
+            assert ctx.pow_(a, ctx.order - 1) == 1
+            assert ctx.pow_(a, 3) == ctx.mul(a, ctx.mul(a, a))
+
+    check()

@@ -202,6 +202,26 @@ def test_roots_simple_cases():
         roots(UniPoly.zero(G2), G2)
 
 
+@pytest.mark.parametrize("p,e", [(2, 14), (3, 11)])
+def test_roots_above_the_enumeration_limit(p, e):
+    # fields past 2^12 elements split by trace (p = 2) or by quadratic
+    # character (p = 3) instead of enumerating
+    ctx = make_field(p, e)
+    rng = random.Random(100 * p + e)
+    a, b = rng.sample(range(ctx.order), 2)
+    # a rootless quadratic: X^2 + X + c with trace 1, or X^2 - c for a non-square c
+    while True:
+        c = rng.randrange(1, ctx.order)
+        if p == 2 and ctx.abs_trace(c) == 1:
+            quad = UniPoly(ctx, (c, 1, 1))
+            break
+        if p == 3 and ctx.pow_(c, (ctx.order - 1) // 2) != 1:
+            quad = UniPoly(ctx, (ctx.neg(c), 0, 1))
+            break
+    f = UniPoly(ctx, (ctx.neg(a), 1)) * UniPoly(ctx, (ctx.neg(b), 1)).pow_(2) * quad
+    assert [(r.i, m) for r, m in roots(f, ctx)] == sorted([(a, 1), (b, 2)])
+
+
 def test_roots_of_shifted_trace_polynomial():
     from excpoly import embed
 
