@@ -26,7 +26,6 @@ import sympy
 
 from .families import FamilySpec
 from .ff import FieldCtx, FieldElem, field_from_json, lift, log_p, make_field
-from .poly import UniPoly
 
 #: Default cap on the size of any single exhaustively enumerated field.
 SIZE_GUARD = 1 << 26

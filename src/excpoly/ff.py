@@ -341,6 +341,8 @@ class FieldCtx:
         if self.p == 2:
             return a ^ b
         p = self.p
+        if self.e == 1:
+            return (a + b) % p
         out = 0
         mult = 1
         for _ in range(self.e):
@@ -354,6 +356,8 @@ class FieldCtx:
         if self.p == 2:
             return a
         p = self.p
+        if self.e == 1:
+            return -a % p
         out = 0
         mult = 1
         for _ in range(self.e):
@@ -363,7 +367,11 @@ class FieldCtx:
         return out
 
     def sub(self, a, b):
-        return a if self.p == 2 and b == 0 else self.add(a, self.neg(b))
+        if self.p == 2:
+            return a ^ b
+        if self.e == 1:
+            return (a - b) % self.p
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if a == 0 or b == 0:

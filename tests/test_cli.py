@@ -320,6 +320,13 @@ def test_chebotarev_guards(capsys, tmp_path):
     assert code == 3
     assert rep["checks"][-1]["data"]["guard"].startswith("chebotarev-size")
 
+    # GF(4^9) has no log tables for the vectorized shape engine
+    code, rep, _ = run_json(capsys, base_argv + [
+        "--q", "8", "--j", "9", "--mode", "sampled", "--n", "200", "--seed", "1"])
+    assert code == 3
+    assert rep["checks"][-1]["data"]["guard"].startswith("chebotarev-size")
+    assert "2^16" in rep["checks"][-1]["data"]["guard"]
+
     code, rep, _ = run_json(
         capsys, base_argv + ["--q", "8", "--j", "2", "--mode", "sampled", "--n", "10"])
     assert code == 3

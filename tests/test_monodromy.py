@@ -1,11 +1,20 @@
 """Coset cycle-type distributions of the pair action and empirical fiber
 shape statistics."""
 
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import excpoly
 from excpoly import (
     CycleDist,
     FieldElem,
@@ -21,6 +30,7 @@ from excpoly import (
     make_field,
 )
 from excpoly import monodromy
+from excpoly.ff import lift
 from excpoly.poly import factor
 
 G4 = make_field(2, 2)
@@ -35,12 +45,14 @@ G16 = make_field(2, 4)
 def test_cycle_dist_normalizes_and_validates():
     d = CycleDist(6, {(5, 1): Fraction(1, 2), (3, 3): Fraction(1, 2)})
     assert (1, 5) in d.entries and (5, 1) not in d.entries
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CycleDist(6, {(1, 5): Fraction(1, 3)})  # weights must sum to 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CycleDist(6, {(7,): Fraction(1)})  # part exceeds degree
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CycleDist(6, {(0, 6): Fraction(1)})
+    with pytest.raises(ValueError):
+        CycleDist(6, {(): Fraction(1)})
 
 
 def test_cycle_dist_unramified_restriction():
@@ -215,13 +227,21 @@ def test_chebotarev_exhaustive_small_base():
     assert dist.full_shapes() <= allowed
 
 
-def test_chebotarev_vector_engine_agrees_with_direct_factoring():
-    """GF(4^4) has 256 fibers, which turns the batched engine on; spot
-    check a handful of fibers against plain factorization."""
+def test_chebotarev_vector_engine_agrees_with_direct_factoring(monkeypatch):
+    """GF(4^4) has 70 Frobenius orbits of fibers, which turns the batched
+    engine on; spot check a handful of fibers against plain factorization."""
     f = f_closed(8, FieldElem(G4, 3))
     base = make_field(2, 8)
-    assert base.order >= monodromy.VECTOR_MIN_FIBERS
+    batches = []
+    vector_shapes = monodromy._vector_shapes
+
+    def spy(fb, ts, branch_set):
+        batches.append(len(ts))
+        return vector_shapes(fb, ts, branch_set)
+
+    monkeypatch.setattr(monodromy, "_vector_shapes", spy)
     dist = chebotarev_sample(f, base)
+    assert batches == [70] and 70 >= monodromy.VECTOR_MIN_FIBERS
     fb = f.map_coeffs(embed(G4, base))
     rng = random.Random(5)
     counts = {}
@@ -251,6 +271,8 @@ def test_chebotarev_sampled_mode_errors():
         chebotarev_sample(f, G16, mode="sampled")  # n and seed missing
     with pytest.raises(ValueError):
         chebotarev_sample(f, G16, mode="sampled", n=17, seed=0)
+    with pytest.raises(ValueError, match="cannot draw 0"):
+        chebotarev_sample(f, G16, mode="sampled", n=0, seed=0)
     with pytest.raises(ValueError):
         chebotarev_sample(f, G16, mode="middle-out")
 
@@ -263,11 +285,22 @@ def test_chebotarev_exhaustive_cap(monkeypatch):
         chebotarev_sample(f, G16)
 
 
-def test_chebotarev_threads_agree():
+def test_chebotarev_threads_agree(monkeypatch):
     f = f_closed(8, FieldElem(G4, 2))
-    base = make_field(2, 10)  # 1024 fibers: enough to engage the pool path
+    base = make_field(2, 10)  # 1024 fibers in 208 orbits: enough for the pool
+    reps = np.unique(monodromy._orbit_reps(base, 2, range(base.order)))
+    assert len(reps) == 208 >= 4 * monodromy.VECTOR_MIN_FIBERS
     one = chebotarev_sample(f, base, threads=1)
+    pools = []
+    pool = multiprocessing.Pool
+
+    def spy(n):
+        pools.append(n)
+        return pool(n)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
     two = chebotarev_sample(f, base, threads=2)
+    assert pools == [2]
     assert one == two
 
 
@@ -276,3 +309,119 @@ def test_chebotarev_rejects_constant_and_bad_base():
         chebotarev_sample(UniPoly.one(G4), G4)
     with pytest.raises(ValueError):
         chebotarev_sample(f_closed(8, FieldElem(G4, 2)), G8)
+
+
+# ---------------------------------------------------------------------------
+# Frobenius-orbit reduction: f - t and f - t^(p^a) have the same shape when f
+# has coefficients in GF(p^a), so chebotarev_sample factors one fiber per orbit
+
+
+def unreduced_dist(fb, ts, table):
+    """The distribution over ts from per-fiber shapes, one fiber per t."""
+    counts = Counter(table[t] for t in ts)
+    return CycleDist(fb.degree, {sh: Fraction(c, len(ts)) for sh, c in counts.items()})
+
+
+@pytest.mark.parametrize("e", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_orbit_reduction_matches_unreduced_shapes(alpha, e):
+    f = f_closed(8, FieldElem(G4, alpha))
+    base = make_field(2, e)
+    fb = lift(f, base)
+    assert monodromy._subfield_degree(fb) == 2
+    ts = list(range(base.order))
+    table = dict(zip(ts, monodromy._shapes_for(fb, ts)))
+    assert chebotarev_sample(f, base) == unreduced_dist(fb, ts, table)
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(st.integers(1, base.order), st.integers(0, 2**32))
+    def sampled(n, seed):
+        drawn = sorted(random.Random(seed).sample(range(base.order), n))
+        got = chebotarev_sample(f, base, mode="sampled", n=n, seed=seed)
+        assert got == unreduced_dist(fb, drawn, table)
+
+    sampled()
+
+
+@pytest.mark.parametrize("p,e,a,coeffs", [
+    (2, 10, 1, [0, 1, 0, 1, 0, 0, 0, 1]),  # X^7 + X^3 + X over GF(2)
+    (2, 8, 8, None),                         # a coefficient generates GF(2^8)
+    (3, 4, 1, [1, 2, 0, 0, 1]),              # X^4 + 2X + 1 over GF(3)
+])
+def test_orbit_reduction_subfield_extremes(p, e, a, coeffs):
+    base = make_field(p, e)
+    if coeffs is None:
+        f = UniPoly(base, [1, base.gen, 0, 0, 0, 1])
+    else:
+        f = UniPoly(make_field(p, 1), coeffs)
+    fb = lift(f, base)
+    assert monodromy._subfield_degree(fb) == a
+    ts = list(range(base.order))
+    table = dict(zip(ts, monodromy._shapes_for(fb, ts)))
+    assert chebotarev_sample(f, base) == unreduced_dist(fb, ts, table)
+    drawn = sorted(random.Random(3).sample(ts, base.order // 3))
+    assert (chebotarev_sample(f, base, mode="sampled", n=len(drawn), seed=3)
+            == unreduced_dist(fb, drawn, table))
+
+
+@pytest.mark.parametrize("p,e,a", [(2, 6, 2), (2, 9, 3), (2, 18, 2), (2, 20, 5), (3, 6, 2)])
+def test_orbit_reps_are_least_in_orbit(p, e, a):
+    ctx = make_field(p, e)
+    ts = random.Random(e).sample(range(ctx.order), min(200, ctx.order))
+    got = monodromy._orbit_reps(ctx, a, ts)
+    for t, r in zip(ts, got.tolist()):
+        orbit = [t]
+        for _ in range(e // a - 1):
+            orbit.append(ctx.pow_(orbit[-1], p ** a))
+        assert ctx.pow_(orbit[-1], p ** a) == t
+        assert r == min(orbit)
+
+
+def test_shape_engine_names_the_table_limit():
+    f = f_closed(8, FieldElem(G4, 2))
+    with pytest.raises(ValueError, match="2\\^16"):
+        chebotarev_sample(f, make_field(2, 18), "sampled", n=200, seed=1)
+
+
+def test_vector_engine_checks_survive_python_O():
+    """The engine's cross-checks and CycleDist validation must not be asserts."""
+    code = """
+from fractions import Fraction
+import numpy as np
+from excpoly import CycleDist, FieldElem, f_closed, make_field
+from excpoly import monodromy
+
+for bad in ({(1, 5): Fraction(1, 3)}, {(7,): 1}, {(0, 6): 1}, {(): 1}):
+    try:
+        CycleDist(6, bad)
+    except ValueError:
+        continue
+    raise SystemExit("CycleDist accepted %r" % (bad,))
+monodromy._gcd_degrees = lambda expa, loga, order, H, V0: np.zeros(len(H), dtype=np.int64)
+f = f_closed(8, FieldElem(make_field(2, 2), 2))
+try:
+    monodromy.chebotarev_sample(f, make_field(2, 8))
+except ArithmeticError as err:
+    if "direct factorization" not in str(err):
+        raise
+else:
+    raise SystemExit("wrong gcd degrees went unnoticed")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(excpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_orbit_check_catches_a_wrong_representative_shape(monkeypatch):
+    f = f_closed(8, FieldElem(G4, 2))
+    shapes_for = monodromy._shapes_for
+
+    def skewed(fb, ts):
+        return [sh if t == 0 else (fb.degree,) for t, sh in zip(ts, shapes_for(fb, ts))]
+
+    monkeypatch.setattr(monodromy, "_shapes_for", skewed)
+    with pytest.raises(ArithmeticError, match="Frobenius orbit"):
+        chebotarev_sample(f, G16)
