@@ -47,6 +47,7 @@ from .families import (
 )
 from .ff import FieldElem, log_p, make_field
 from .monodromy import (
+    CycleDist,
     branch_points,
     chebotarev_sample,
     coset_cycle_types,
@@ -124,8 +125,9 @@ def _cache_key(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_get(cdir, key):
-    """Stored payload string for key, or None on miss or corruption."""
+def cache_get(cdir, key, decode=None):
+    """Stored payload string for key, or None on miss or corruption.  With
+    decode, decode(payload) comes back, and a payload it rejects is corrupt."""
     path = os.path.join(cdir, key + ".json")
     if not os.path.exists(path):
         return None
@@ -136,8 +138,8 @@ def cache_get(cdir, key):
         digest = hashlib.sha256(payload.encode()).hexdigest()
         if digest != entry["sha256"]:
             raise ValueError("checksum mismatch")
-        return payload
-    except (ValueError, KeyError, OSError) as err:
+        return payload if decode is None else decode(payload)
+    except (ValueError, KeyError, TypeError, OSError) as err:
         print("cache entry %s is corrupt (%s); recomputing" % (key[:12], err),
               file=sys.stderr)
         return None
@@ -347,25 +349,34 @@ def _check_canonicalization(q, seed, trials):
     return True, {"trials": done, "q": q}
 
 
+def _decode_dist(payload, degree):
+    dist = CycleDist.from_json(json.loads(payload))
+    if dist.degree != degree:
+        raise ValueError("degree %d, want %d" % (dist.degree, degree))
+    return dist
+
+
 def _chebotarev_checks(runner, f, q, j, mode, n, seed, threads, cdir, cfg):
     e = log_p(q, 2)
-    base = make_field(2, 2 * j)
+    try:
+        base = make_field(2, 2 * j)
+    except ValueError as err:
+        raise Guard("chebotarev-j-range: --j %d: %s" % (j, err))
     state = {}
 
     def inclusion():
         key = _cache_key(dict(cfg, j=j))
-        payload = cache_get(cdir, key)
-        if payload is None:
+        dist = cache_get(cdir, key, decode=lambda text: _decode_dist(text, f.degree))
+        hit = dist is not None
+        if not hit:
             try:
                 dist = chebotarev_sample(f, base, mode=mode, n=n, seed=seed,
                                          threads=threads)
             except ValueError as err:
                 raise Guard("chebotarev-size: %s" % (err,))
-            payload = json.dumps(dist.to_json(), sort_keys=True, indent=2)
+        payload = json.dumps(dist.to_json(), sort_keys=True, indent=2)
+        if not hit:
             cache_put(cdir, key, payload)
-        else:
-            from .monodromy import CycleDist
-            dist = CycleDist.from_json(json.loads(payload))
         state["dist"] = dist
         state["payload"] = payload
         state["coset"] = coset_cycle_types(q, (2 * j) % e)
@@ -453,33 +464,35 @@ def _zeta(args, runner):
         raise Guard("zeta-q-range: zeta runs are supported for q = 4 only")
     ctx = make_field(2, 4)
     c = _elem(ctx, args.c_index, "c")
-    cfg = runner.cfg
     cdir = _cache_dir(args)
-    key = _cache_key(cfg)
-    payload = cache_get(cdir, key)
-    if payload is None:
-        try:
-            model = plane_model(4, c)
-        except ValueError as err:
-            raise Guard("smooth-model: %s" % (err,))
-        counts = [count_points(model, m, threads=args.threads)
-                  for m in range(1, 7)]
-        zd = zeta(model, 6, counts=counts)
-        body = zd.to_json()
-        body["c"] = {"field_e": 4, "index": c.i}
-        payload = json.dumps(body, sort_keys=True, indent=2)
-        cache_put(cdir, key, payload)
-        print("zeta: computed and cached under %s" % key[:12], file=sys.stderr)
-    else:
-        print("zeta: served from cache %s" % key[:12], file=sys.stderr)
-    body = json.loads(payload)
-    if args.out:
-        _write_artifact(args.out, payload)
-    runner.run(
-        "zeta",
-        lambda: (len(body["L"]) == 13 and body["p_rank"] == body["g"],
-                 {"g": body["g"], "p_rank": body["p_rank"], "L": body["L"],
-                  "counts": body["counts"]}))
+    key = _cache_key(runner.cfg)
+
+    def check():
+        # the lookup and the compute run inside the timed check
+        payload = cache_get(cdir, key)
+        if payload is None:
+            try:
+                model = plane_model(4, c)
+            except ValueError as err:
+                raise Guard("smooth-model: %s" % (err,))
+            counts = [count_points(model, m, threads=args.threads)
+                      for m in range(1, 7)]
+            zd = zeta(model, 6, counts=counts)
+            body = zd.to_json()
+            body["c"] = {"field_e": 4, "index": c.i}
+            payload = json.dumps(body, sort_keys=True, indent=2)
+            cache_put(cdir, key, payload)
+            print("zeta: computed and cached under %s" % key[:12], file=sys.stderr)
+        else:
+            print("zeta: served from cache %s" % key[:12], file=sys.stderr)
+        if args.out:
+            _write_artifact(args.out, payload)
+        body = json.loads(payload)
+        return (len(body["L"]) == 13 and body["p_rank"] == body["g"],
+                {"g": body["g"], "p_rank": body["p_rank"], "L": body["L"],
+                 "counts": body["counts"]})
+
+    runner.run("zeta", check)
 
 
 def _chebotarev(args, runner):

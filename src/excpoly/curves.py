@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from .ff import FieldCtx, FieldElem, embed, field_from_json, lift, log_p, make_field
+from .ff import VEC_CHUNK, FieldCtx, FieldElem, embed, field_from_json, lift, log_p, make_field
 from .poly import BiPoly, UniPoly
 
 FIBER_GUARD = 1 << 24
@@ -739,122 +739,7 @@ def smoothness_check(model):
 
 
 # ---------------------------------------------------------------------------
-# vectorized finite-field kernels for counting
-
-_SPREAD16 = None
-
-
-def _spread_table():
-    global _SPREAD16
-    if _SPREAD16 is None:
-        x = np.arange(1 << 16, dtype=np.int64)
-        r = np.zeros(1 << 16, dtype=np.int64)
-        for i in range(16):
-            r |= ((x >> i) & 1) << (2 * i)
-        _SPREAD16 = r
-    return _SPREAD16
-
-
-# field elements per numpy pass: 2^14 int64 arrays stay in cache
-VEC_CHUNK = 1 << 14
-
-_CLMUL8 = None
-
-
-def _clmul8_table():
-    """Carry-less products of all byte pairs, indexed by (a << 8) | b."""
-    global _CLMUL8
-    if _CLMUL8 is None:
-        x = np.arange(1 << 16, dtype=np.int64)
-        r = np.zeros(1 << 16, dtype=np.int64)
-        for i in range(8):
-            r ^= ((x >> i) & 1) * ((x >> 8) << i)
-        _CLMUL8 = r
-    return _CLMUL8
-
-
-class VecField:
-    """GF(2^N) arithmetic on numpy int64 arrays of packed elements, N <= 24.
-
-    Products are carry-less byte-by-byte table lookups; reduction folds the
-    bits from N up back in a byte at a time, since h -> (h << N) mod f is
-    F_2-linear.
-    """
-
-    def __init__(self, ctx):
-        assert ctx.p == 2 and ctx.e <= 24
-        self.ctx = ctx
-        self.N = ctx.e
-        self.mask = sum(bit << i for i, bit in enumerate(ctx.modulus))
-        self._spread = _spread_table()
-        self._clmul = _clmul8_table()
-        self._nbytes = (self.N + 7) // 8
-        self._fold = [self._reduce_bits(np.arange(256, dtype=np.int64) << (self.N + 8 * k),
-                                        self.N + 8 * k + 7)
-                      for k in range(self._nbytes)]
-
-    def _reduce_bits(self, r, top):
-        for i in range(top, self.N - 1, -1):
-            r = r ^ (((r >> i) & 1) * (self.mask << (i - self.N)))
-        return r
-
-    def reduce(self, r):
-        h = r >> self.N
-        r = r & ((1 << self.N) - 1)
-        for k, fold in enumerate(self._fold):
-            r = r ^ fold[(h >> (8 * k)) & 0xFF]
-        return r
-
-    def mul(self, a, b):
-        bb = [(b >> (8 * j)) & 0xFF for j in range(self._nbytes)]
-        r = 0
-        for i in range(self._nbytes):
-            hi = ((a >> (8 * i)) & 0xFF) << 8
-            for j, bj in enumerate(bb):
-                r = r ^ (self._clmul[hi | bj] << (8 * (i + j)))
-        return self.reduce(r)
-
-    def sq(self, a):
-        s = self._spread
-        r = s[a & 0xFFFF] | (s[a >> 16] << 32)
-        return self.reduce(r)
-
-    def pow2(self, a, k):
-        for _ in range(k):
-            a = self.sq(a)
-        return a
-
-    def pow_(self, a, k):
-        assert k >= 1
-        bits = bin(k)[3:]
-        r = a
-        for bit in bits:
-            r = self.sq(r)
-            if bit == "1":
-                r = self.mul(r, a)
-        return r
-
-    def inv(self, a):
-        # a^(2^N - 2) by the square-chain on exponents 2^k - 1
-        k = 1
-        t = a
-        for bit in bin(self.N - 1)[3:]:
-            t = self.mul(self.pow2(t, k), t)
-            k *= 2
-            if bit == "1":
-                t = self.mul(self.sq(t), a)
-                k += 1
-        assert k == self.N - 1
-        return self.sq(t)
-
-    def trace_T(self, a, e):
-        acc = a
-        cur = a
-        for _ in range(e - 1):
-            cur = self.sq(cur)
-            acc = acc ^ cur
-        return acc
-
+# vectorized counting
 
 class LinearSolver:
     """Gauss data for an F_2-linear map on GF(2^N) packed indices.
@@ -950,7 +835,7 @@ _PF_STATE = {}
 
 def _plane_worker_init(field_json, q, e, c, n, chi_exp):
     ctx = field_from_json(field_json)
-    vf = VecField(ctx)
+    vf = ctx.vec
     solver = LinearSolver(ctx, lambda x: ctx.mul(x, x) ^ x)
     _PF_STATE.update(vf=vf, solver=solver, q=q, e=e, c=c, n=n, chi_exp=chi_exp)
 
@@ -981,7 +866,7 @@ def _count_plane_fiber(model, m, threads):
             parts = pool.map(_plane_worker_run, spans)
         total += sum(parts)
     else:
-        vf = VecField(ext)
+        vf = ext.vec
         solver = LinearSolver(ext, lambda x: ext.mul(x, x) ^ x)
         for lo, hi in spans:
             total += _count_plane_fiber_range(vf, solver, q, e, c, n,
@@ -1018,7 +903,7 @@ def _count_plane_brute(model, m):
     c = params[0]
     Q = ext.order
     n = math.gcd(q + 1, Q - 1)
-    vf = VecField(ext)
+    vf = ext.vec
     y = np.arange(Q, dtype=np.int64)
     yq1 = vf.mul(vf.pow2(y, e), y)
     total = n
@@ -1041,8 +926,8 @@ def _count_as_affine(model, m):
     e = log_p(q, 2)
     ext, params = _ext_with_param(model, m)
     a, b = params
-    vf = VecField(ext)
-    solver = LinearSolver(ext, lambda x: vf_pow2_scalar(ext, x, e) ^ x)
+    vf = ext.vec
+    solver = LinearSolver(ext, lambda x: ext.pow_(x, q) ^ x)
     kappa = 1 << solver.kernel_dim
     assert solver.kernel_dim == math.gcd(e, ext.e)
     Q = ext.order
@@ -1067,12 +952,6 @@ def _count_as_affine(model, m):
         _, res = solver.apply(rhs)
         total += kappa * int(np.count_nonzero(res == 0))
     return total
-
-
-def vf_pow2_scalar(ctx, x, k):
-    for _ in range(k):
-        x = ctx.mul(x, x)
-    return x
 
 
 def count_points(model, m, strategy="auto", threads=1):

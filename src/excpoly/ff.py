@@ -6,22 +6,22 @@ context caches discrete-log tables when the field has at most 2^16
 elements, falls back to carryless multiplication for larger
 characteristic-2 fields, and uses digit schoolbook arithmetic otherwise.
 
-The modulus for GF(p^e) comes from a small embedded table of Conway
-polynomials when (p, e) is listed there; otherwise it is found by a
-deterministic ascending search over integer-encoded monic polynomials,
-keeping the first primitive irreducible one.  Either way the constructor
-re-verifies irreducibility and primitivity, so the table cannot silently
-poison arithmetic.  The coefficient-list polynomial kernels that poly wraps,
-the root splitter behind embeddings and poly.roots, and lift live here too.
+VecField is the one numpy kernel for GF(2^e), built once per context as
+ctx.vec: log/exp lookups where the context has tables, carry-less byte
+tables above 2^16.  Counts, shape engine, orbits and scans all run on it.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import sympy
 
 __all__ = [
     "FieldCtx",
     "FieldElem",
+    "VecField",
     "Embedding",
     "make_field",
     "embed",
@@ -286,6 +286,7 @@ class FieldCtx:
             self._mask = sum(bit << i for i, bit in enumerate(modulus))
         self._exp = None
         self._log = None
+        self._vec = None
         if order <= TABLE_LIMIT:
             self._build_tables()
 
@@ -446,6 +447,13 @@ class FieldCtx:
     def elements(self):
         return range(self.order)
 
+    @property
+    def vec(self):
+        """The VecField of this characteristic-2 context, built on first use."""
+        if self._vec is None:
+            self._vec = VecField(self)
+        return self._vec
+
     # -- plumbing
 
     def __call__(self, i):
@@ -538,6 +546,135 @@ class FieldElem:
 
     def __repr__(self):
         return f"GF({self.ctx.order}):{self.i}"
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernel for characteristic 2
+
+# field elements per numpy pass: 2^14 int64 arrays stay in cache
+VEC_CHUNK = 1 << 14
+
+
+@functools.cache
+def _spread_table():
+    """Bit i of every 16-bit index moved to bit 2i: squaring without a carry."""
+    x = np.arange(1 << 16, dtype=np.int64)
+    r = np.zeros(1 << 16, dtype=np.int64)
+    for i in range(16):
+        r |= ((x >> i) & 1) << (2 * i)
+    return r
+
+
+@functools.cache
+def _clmul8_table():
+    """Carry-less products of all byte pairs, indexed by (a << 8) | b."""
+    x = np.arange(1 << 16, dtype=np.int64)
+    r = np.zeros(1 << 16, dtype=np.int64)
+    for i in range(8):
+        r ^= ((x >> i) & 1) * ((x >> 8) << i)
+    return r
+
+
+class VecField:
+    """GF(2^N) arithmetic on numpy int64 arrays of packed elements.
+
+    A context with log tables (at most TABLE_LIMIT elements) multiplies and
+    inverts by log/exp lookups.  Larger ones, up to MAX_ORDER, take
+    carry-less byte-by-byte table products and reduce by folding the bits
+    from N up back in a byte at a time, since h -> (h << N) mod f is
+    F_2-linear.  Either operand of mul may be a plain int; inv maps 0 to 0.
+    """
+
+    def __init__(self, ctx):
+        if ctx.p != 2:
+            raise ValueError(f"the vector kernel needs characteristic 2, not GF({ctx.order})")
+        self.ctx = ctx
+        self.N = ctx.e
+        self._exp = self._log = None
+        if ctx._log is not None:
+            self._exp = np.array(ctx._exp, dtype=np.int64)
+            # log of 0 is never used: every lookup masks zero operands
+            self._log = np.array([max(v, 0) for v in ctx._log], dtype=np.int64)
+            return
+        self._spread = _spread_table()
+        self._clmul = _clmul8_table()
+        self._nbytes = (self.N + 7) // 8
+        self._fold = [self._reduce_bits(np.arange(256, dtype=np.int64) << (self.N + 8 * k),
+                                        self.N + 8 * k + 7)
+                      for k in range(self._nbytes)]
+
+    def _reduce_bits(self, r, top):
+        for i in range(top, self.N - 1, -1):
+            r = r ^ (((r >> i) & 1) * (self.ctx._mask << (i - self.N)))
+        return r
+
+    def reduce(self, r):
+        h = r >> self.N
+        r = r & ((1 << self.N) - 1)
+        for k, fold in enumerate(self._fold):
+            r = r ^ fold[(h >> (8 * k)) & 0xFF]
+        return r
+
+    def mul(self, a, b):
+        if self._log is not None:
+            ok = (a != 0) & (b != 0)
+            return np.where(ok, self._exp[self._log[a] + self._log[b]], 0)
+        bb = [(b >> (8 * j)) & 0xFF for j in range(self._nbytes)]
+        r = 0
+        for i in range(self._nbytes):
+            hi = ((a >> (8 * i)) & 0xFF) << 8
+            for j, bj in enumerate(bb):
+                r = r ^ (self._clmul[hi | bj] << (8 * (i + j)))
+        return self.reduce(r)
+
+    def sq(self, a):
+        if self._log is not None:
+            return self.mul(a, a)
+        s = self._spread
+        r = s[a & 0xFFFF] | (s[a >> 16] << 32)
+        return self.reduce(r)
+
+    def pow2(self, a, k):
+        """a^(2^k), the k-th power of the Frobenius."""
+        for _ in range(k):
+            a = self.sq(a)
+        return a
+
+    def pow_(self, a, k):
+        if k < 1:
+            raise ValueError(f"exponent {k} must be positive")
+        bits = bin(k)[3:]
+        r = a
+        for bit in bits:
+            r = self.sq(r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def inv(self, a):
+        if self._log is not None:
+            n = self.ctx.order - 1
+            return np.where(a != 0, self._exp[n - self._log[a]], 0)
+        # a^(2^N - 2) by the square-chain on exponents 2^k - 1
+        k = 1
+        t = a
+        for bit in bin(self.N - 1)[3:]:
+            t = self.mul(self.pow2(t, k), t)
+            k *= 2
+            if bit == "1":
+                t = self.mul(self.sq(t), a)
+                k += 1
+        assert k == self.N - 1
+        return self.sq(t)
+
+    def trace_T(self, a, e):
+        """a + a^2 + ... + a^(2^(e-1))."""
+        acc = a
+        cur = a
+        for _ in range(e - 1):
+            cur = self.sq(cur)
+            acc = acc ^ cur
+        return acc
 
 
 def arith(kind, a, b=None):

@@ -16,13 +16,14 @@ distribution can be compared against an exact coset distribution.
 
 Two shape engines back chebotarev_sample.  Small jobs factor each
 fiber directly.  Large char-2 jobs run a vectorized engine that never
-factors: with the fixed modulus h = f - t it computes r_d =
-deg gcd(h, X^(s^d) - X) for d up to deg(f)/2 by a mask-synchronized
-Euclidean loop across all fibers at once, then recovers the number of
-distinct degree-k factors by Moebius inversion of r_d = sum over k | d
-of k * m_k.  Ramified fibers are delegated to the direct path, and a
-fixed subsample (first, middle, last) of every vectorized run is re-checked
-against it.
+factors, on the base's ff.VecField (log tables up to 2^16 elements,
+byte-table products above, so on every base the API takes): with the
+fixed modulus h = f - t it computes r_d = deg gcd(h, X^(s^d) - X) for
+d up to deg(f)/2 by a mask-synchronized Euclidean loop across all
+fibers at once, then recovers the number of distinct degree-k factors
+by Moebius inversion of r_d = sum over k | d of k * m_k.  Ramified
+fibers are delegated to the direct path, and a fixed subsample (first,
+middle, last) of every vectorized run is re-checked against it.
 
 Orbit reduction: when f has coefficients in GF(p^a), applying the
 Frobenius x -> x^(p^a) to f - t gives f - t^(p^a), so the two fibers
@@ -345,16 +346,8 @@ def branch_points(f, base):
     return [FieldElem(base, v) for v in sorted(vals)]
 
 
-def _np_tables(ctx):
-    """Log/antilog tables of a char-2 context as numpy arrays."""
-    assert ctx.p == 2
-    expa = np.array(ctx._exp, dtype=np.int64)
-    loga = np.array([v if v >= 0 else 0 for v in ctx._log], dtype=np.int64)
-    return expa, loga
-
-
-def _gcd_degrees(expa, loga, order, H, V0):
-    """deg gcd(h, v) per fiber, h rows of H (monic), v rows of V0.
+def _gcd_degrees(vf, H, V0):
+    """deg gcd(h, v) per fiber, h rows of H (monic), v rows of V0, over vf.
 
     Mask-synchronized Euclid: every iteration eliminates the leading
     coefficient of the currently-larger polynomial in each still-active
@@ -399,17 +392,13 @@ def _gcd_degrees(expa, loga, order, H, V0):
                 break
         lu = np.take_along_axis(U, np.maximum(dU, 0)[:, None], axis=1)[:, 0]
         lv = np.take_along_axis(V, np.maximum(dV, 0)[:, None], axis=1)[:, 0]
-        good = active & (lu != 0) & (lv != 0)
-        coef = np.where(
-            good, expa[np.where(good, loga[lu] - loga[lv] + order - 1, 0)], 0)
+        # finished fibers have V = 0, so lv = 0 and inv(0) = 0 leave U alone
+        coef = vf.mul(lu, vf.inv(lv))
         shift = np.maximum(dU - dV, 0)
         src = cols[None, :] - shift[:, None]
         vsh = np.where(
             src >= 0, np.take_along_axis(V, np.maximum(src, 0), axis=1), 0)
-        prod_ok = (coef[:, None] != 0) & (vsh != 0)
-        idx = np.where(prod_ok, loga[coef[:, None]] + loga[vsh], 0)
-        term = np.where(prod_ok, expa[idx], 0)
-        U = np.where(active[:, None], U ^ term, U)
+        U = U ^ vf.mul(coef[:, None], vsh)
         dU = np.where(active, degrees(U), dU)
     return dU
 
@@ -422,20 +411,13 @@ def _vector_shapes(fb, ts, branch_set):
     root-count recursion assumes a squarefree modulus everywhere else.
     """
     ctx = fb.ctx
-    assert ctx.p == 2
     m = fb.degree
     assert m >= 3 and fb.is_monic()
-    s = ctx.order
+    vf = ctx.vec
     n = ctx.e
     dmax = m // 2
-    expa, loga = _np_tables(ctx)
     flow = np.array([fb.coeff(i) for i in range(m)], dtype=np.int64)
     ts_arr = np.asarray(ts, dtype=np.int64)
-
-    def vmul(u, v):
-        ok = (u != 0) & (v != 0)
-        idx = np.where(ok, loga[u] + loga[v], 0)
-        return np.where(ok, expa[idx], 0)
 
     shapes = [None] * len(ts)
     mobius = {}
@@ -463,15 +445,15 @@ def _vector_shapes(fb, ts, branch_set):
             prev = red[j - 1]
             top = prev[:, m - 1]
             red[j][:, 1:] = prev[:, : m - 1]
-            red[j] ^= vmul(top[:, None], hlow)
+            red[j] ^= vf.mul(top[:, None], hlow)
 
         def sqmod(B):
-            sq = vmul(B, B)
+            sq = vf.sq(B)
             out = np.zeros((nf, m), dtype=np.int64)
             half = (m + 1) // 2
             out[:, : 2 * half - 1: 2] = sq[:, :half]
             for i in range(half, m):
-                out ^= vmul(sq[:, i][:, None], red[2 * i - m])
+                out ^= vf.mul(sq[:, i][:, None], red[2 * i - m])
             return out
 
         H = np.zeros((nf, m + 1), dtype=np.int64)
@@ -485,7 +467,7 @@ def _vector_shapes(fb, ts, branch_set):
                 B = sqmod(B)
             V0 = B.copy()
             V0[:, 1] ^= 1
-            rdeg[:, d] = _gcd_degrees(expa, loga, s, H, V0)
+            rdeg[:, d] = _gcd_degrees(vf, H, V0)
         mults = np.zeros((nf, dmax + 1), dtype=np.int64)
         for k in range(1, dmax + 1):
             acc = np.zeros(nf, dtype=np.int64)
@@ -552,10 +534,6 @@ def _shapes_for(fb, ts):
     if use_vector:
         fprime = fb.derivative()
         if not fprime.is_zero():
-            if fb.ctx._log is None:
-                raise ValueError(
-                    "the vectorized shape engine needs the log tables of fields "
-                    "up to 2^16 elements; GF(2^%d) has none" % fb.ctx.e)
             branch = {e.i for e in branch_points(fb, fb.ctx)}
             return _vector_shapes(fb, ts, branch)
     return [_shape_one(fb, t) for t in ts]
@@ -571,25 +549,10 @@ def _subfield_degree(fb):
 
 def _frobenius(ctx, a):
     """x -> x^(p^a) on numpy arrays of packed indices."""
-    if ctx.p != 2:
-        q = ctx.p ** a
-        return lambda x: np.array([ctx.pow_(int(v), q) for v in x], dtype=np.int64)
-    # F_2-linear: one xor table per byte, from the images of the basis bits
-    img = [ctx.pow_(1 << j, 1 << a) for j in range(ctx.e)]
-    byte = np.arange(256, dtype=np.int64)
-    tables = []
-    for k in range(0, ctx.e, 8):
-        tbl = np.zeros(256, dtype=np.int64)
-        for b in range(min(8, ctx.e - k)):
-            tbl ^= ((byte >> b) & 1) * img[k + b]
-        tables.append(tbl)
-
-    def frob(x):
-        out = tables[0][x & 0xFF]
-        for k, tbl in enumerate(tables[1:], 1):
-            out = out ^ tbl[(x >> (8 * k)) & 0xFF]
-        return out
-    return frob
+    if ctx.p == 2:
+        return lambda x: ctx.vec.pow2(x, a)
+    q = ctx.p ** a
+    return lambda x: np.array([ctx.pow_(int(v), q) for v in x], dtype=np.int64)
 
 
 def _orbit_reps(ctx, a, ts):

@@ -24,7 +24,7 @@ from excpoly import (
     weil_contradiction_report,
     zeta,
 )
-from excpoly.curves import VecField
+from excpoly.ff import VecField
 
 G2 = make_field(2, 1)
 G4 = make_field(2, 2)
@@ -193,11 +193,13 @@ def test_count_strategies_agree_on_small_extensions():
     assert count_points(model, 2, strategy="fiber") == 275
 
 
-@pytest.mark.parametrize("e", [3, 8, 9, 17, 24])
+@pytest.mark.parametrize("e", [3, 4, 8, 9, 12, 16, 17, 24, 26])
 def test_vector_field_kernels_match_scalar_arithmetic(e):
-    # the byte-table products and folds against the bit-serial scalar field
+    # log/exp lookups up to 2^16, byte-table products and folds above, against
+    # the scalar field (table-backed or bit-serial)
     ctx = make_field(2, e)
     vf = VecField(ctx)
+    assert (vf._log is not None) == (e <= 16) and ctx.vec is ctx.vec
     elems = st.lists(st.integers(min_value=0, max_value=ctx.order - 1), min_size=1, max_size=40)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -208,9 +210,9 @@ def test_vector_field_kernels_match_scalar_arithmetic(e):
         assert vf.mul(va, vb).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
         assert vf.mul(va, b[0]).tolist() == [ctx.mul(x, b[0]) for x in a]
         assert vf.sq(va).tolist() == [ctx.mul(x, x) for x in a]
-        nz = [x for x in a if x]
-        if nz:
-            assert vf.inv(np.array(nz, dtype=np.int64)).tolist() == [ctx.inv(x) for x in nz]
+        k = b[0] % (e + 1)
+        assert vf.pow2(va, k).tolist() == [ctx.pow_(x, 1 << k) for x in a]
+        assert vf.inv(va).tolist() == [ctx.inv(x) if x else 0 for x in a]
 
     check()
 

@@ -2,9 +2,12 @@
 measurements over concrete extension towers."""
 
 import math
+import multiprocessing
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excpoly import (
     FamilySpec,
@@ -19,7 +22,7 @@ from excpoly import (
     make_field,
     tower_scan,
 )
-from excpoly.exceptional import SIZE_GUARD
+from excpoly.exceptional import SIZE_GUARD, _eval_block, _vector_blocks
 
 G4 = make_field(2, 2)
 G8 = make_field(2, 3)
@@ -76,11 +79,56 @@ def test_witness_is_first_collision_in_index_order():
         assert (x1.i, x2.i) == expected
 
 
-def test_is_permutation_threads_agree():
+def test_is_permutation_threads_agree(monkeypatch):
     f = f_closed(8, FieldElem(G4, 2))
     for ext_e in (2, 4, 6):
         ext = make_field(2, ext_e)
         assert is_permutation(f, ext, threads=1) == is_permutation(f, ext, threads=2)
+    # odd characteristic splits the scan of GF(3^8) across a process pool
+    g3 = make_field(3, 8)
+    pools = []
+    pool = multiprocessing.Pool
+
+    def spy(n, **kwargs):
+        pools.append(n)
+        return pool(n, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    for d in (5, 7):  # gcd(5, 3^8 - 1) = 5, gcd(7, 3^8 - 1) = 1
+        f3 = UniPoly.monomial(make_field(3, 1), d)
+        assert is_permutation(f3, g3, threads=2) == is_permutation(f3, g3, threads=1)
+        assert is_permutation(f3, g3)[0] == (d == 7)
+    assert pools == [2, 2]
+
+
+@pytest.mark.parametrize("e", list(range(1, 13)) + [17])
+def test_vector_scan_matches_eval_block(e):
+    """Values and witness of the vectorized char-2 scan against the
+    per-element reference evaluator."""
+    ctx = make_field(2, e)
+    coeffs = st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=5 if e <= 12 else 3)
+
+    @settings(max_examples=12 if e <= 12 else 2, deadline=None, derandomize=True)
+    @given(coeffs, st.booleans())
+    def check(cs, additive):
+        if additive:  # sum c_i X^(2^i): bijective unless it has a nonzero root
+            lin = [0] * ((1 << (len(cs) - 1)) + 1)
+            for i, c in enumerate(cs):
+                lin[1 << i] = c
+            cs = lin
+        ref = _eval_block(ctx, cs, 0, ctx.order)
+        assert [v for _lo, block in _vector_blocks(cs, ctx) for v in block] == ref.tolist()
+        want = (True, None)
+        seen = {}
+        for x, v in enumerate(ref):
+            if v in seen:
+                want = (False, (seen[v], x))
+                break
+            seen[v] = x
+        ok, wit = is_permutation(UniPoly(ctx, cs), ctx)
+        assert (ok, wit and (wit[0].i, wit[1].i)) == want
+
+    check()
 
 
 def test_is_permutation_guard_and_rebase_errors():

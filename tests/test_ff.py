@@ -360,7 +360,7 @@ def test_library_checks_raise_under_python_O():
     """The named errors must not depend on assert statements being live."""
     code = """
 from excpoly.families import trace_poly
-from excpoly.ff import embed, lift, log_p, make_field, rel_trace
+from excpoly.ff import VecField, embed, lift, log_p, make_field, rel_trace
 cases = [
     lambda: trace_poly(12),
     lambda: embed(make_field(2, 2), make_field(3, 2)),
@@ -368,6 +368,7 @@ cases = [
     lambda: rel_trace(8, make_field(2, 4).one),
     lambda: lift(make_field(2, 2).one, make_field(2, 3)),
     lambda: log_p(6, 2),
+    lambda: VecField(make_field(3, 2)),
 ]
 for i, case in enumerate(cases):
     try:

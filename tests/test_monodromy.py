@@ -377,10 +377,26 @@ def test_orbit_reps_are_least_in_orbit(p, e, a):
         assert r == min(orbit)
 
 
-def test_shape_engine_names_the_table_limit():
+def test_shape_engine_runs_above_the_table_limit(monkeypatch):
+    """GF(4^9) has no log tables: the engine runs on byte-table products."""
     f = f_closed(8, FieldElem(G4, 2))
-    with pytest.raises(ValueError, match="2\\^16"):
-        chebotarev_sample(f, make_field(2, 18), "sampled", n=200, seed=1)
+    base = make_field(2, 18)
+    assert base._log is None
+    runs = []
+    vector_shapes = monodromy._vector_shapes
+
+    def spy(fb, ts, branch_set):
+        runs.append((fb, ts, vector_shapes(fb, ts, branch_set)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(monodromy, "_vector_shapes", spy)
+    dist = chebotarev_sample(f, base, "sampled", n=200, seed=1)
+    assert dist.unramified().support() <= coset_cycle_types(8, 0).support()
+    ((fb, ts, shapes),) = runs
+    assert len(ts) >= monodromy.VECTOR_MIN_FIBERS
+    # fibers the engine's own spot checks (first, middle, last) do not cover
+    for i in (len(ts) // 4, 3 * len(ts) // 4):
+        assert shapes[i] == monodromy._shape_one(fb, ts[i])
 
 
 def test_vector_engine_checks_survive_python_O():
@@ -397,7 +413,7 @@ for bad in ({(1, 5): Fraction(1, 3)}, {(7,): 1}, {(0, 6): 1}, {(): 1}):
     except ValueError:
         continue
     raise SystemExit("CycleDist accepted %r" % (bad,))
-monodromy._gcd_degrees = lambda expa, loga, order, H, V0: np.zeros(len(H), dtype=np.int64)
+monodromy._gcd_degrees = lambda vf, H, V0: np.zeros(len(H), dtype=np.int64)
 f = f_closed(8, FieldElem(make_field(2, 2), 2))
 try:
     monodromy.chebotarev_sample(f, make_field(2, 8))
