@@ -1,7 +1,10 @@
 """Batch front end: generate family members, run verification suites,
 emit JSON/CSV reports, and cache expensive results.
 
-Every subcommand builds a report {config, version, checks[]} where each
+This module parses arguments, enforces guards, times checks, caches
+payloads and writes artifacts; the criteria themselves are the (ok, data)
+functions of excpoly.checks, which the acceptance tests run too.  Every
+subcommand builds a report {config, version, checks[]} where each
 check carries a name, a status (pass, fail, or recorded), its data, and
 its wall-clock seconds.  The report goes to stdout and, with --report,
 to a file; two runs with the same config produce identical reports
@@ -20,40 +23,15 @@ import csv
 import hashlib
 import json
 import os
-import random
 import sys
 import time
 
-from . import __version__
-from .curves import (
-    count_points,
-    plane_model,
-    sl2_certificate,
-    smoothness_check,
-    verify_b_action,
-    verify_product_identity,
-    verify_quotient_relations,
-    weil_contradiction_report,
-    zeta,
-)
+from . import __version__, checks
+from .curves import plane_model, weil_contradiction_report, zeta
 from .exceptional import exceptionality_verdict, tower_scan
-from .families import (
-    FamilySpec,
-    canonicalize,
-    dickson,
-    f_closed,
-    f_product,
-    trace_poly,
-)
-from .ff import FieldElem, log_p, make_field
-from .monodromy import (
-    CycleDist,
-    branch_points,
-    chebotarev_sample,
-    coset_cycle_types,
-    dist_compare,
-)
-from .poly import UniPoly
+from .families import FamilySpec, f_closed
+from .ff import FieldElem, make_field
+from .monodromy import CycleDist, chebotarev_sample
 
 
 class Guard(Exception):
@@ -69,7 +47,7 @@ def _parse_field(text):
         raise Guard("field-descriptor: expected the form p=2,e=4, got %r" % (text,))
     try:
         return make_field(p, e)
-    except (AssertionError, ValueError) as err:
+    except ValueError as err:
         raise Guard("field-descriptor: %s" % (err,))
 
 
@@ -95,7 +73,7 @@ def _family_spec(args):
             alpha=alpha,
             field=None if alpha is not None else field,
         )
-    except AssertionError as err:
+    except ValueError as err:
         raise Guard("family-kind: %s" % (err,))
     return spec
 
@@ -204,149 +182,15 @@ def _write_artifact(path, payload):
             fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
-# shared checks
-
-
-def _alpha_grid(ctx):
-    return [FieldElem(ctx, i) for i in range(2, ctx.order)]
-
-
-def _check_form_equality(q):
-    grids = [make_field(2, 4)]
-    if q == 8:
-        grids.append(make_field(2, 6))
-    tried = 0
-    for ctx in grids:
-        one = FieldElem(ctx, 1)
-        for al in _alpha_grid(ctx):
-            if f_closed(q, al) != f_product(q, al + one):
-                return False, {"q": q, "field_e": ctx.e, "alpha": al.i}
-            tried += 1
-    return True, {"q": q, "alphas": tried}
-
-
-def _check_structure(q):
-    grids = [make_field(2, 4)]
-    if q == 8:
-        grids.append(make_field(2, 6))
-    deg = q * (q - 1) // 2
-    for ctx in grids:
-        T = trace_poly(q, ctx)
-        for al in _alpha_grid(ctx):
-            f = f_closed(q, al)
-            if not (f.is_monic() and f.degree == deg):
-                return False, {"alpha": al.i, "what": "degree"}
-            talpha = T + UniPoly.const(ctx, al.i)
-            quo, rem = divmod(f, talpha)
-            if not rem.is_zero():
-                return False, {"alpha": al.i, "what": "trace-divisor"}
-            if any(quo.coeff(k) for k in range(1, quo.degree + 1, 2)):
-                return False, {"alpha": al.i, "what": "even-quotient"}
-            v = 0
-            while not f.coeff(v):
-                v += 1
-            in_fq = ctx.pow_(al.i, q) == al.i
-            if (v == 2) != in_fq:
-                return False, {"alpha": al.i, "what": "x2-valuation", "v": v}
-    return True, {"q": q}
-
-
-def _check_product_identity(q):
-    good = verify_product_identity(q)
-    mutated = verify_product_identity(q, mutate=True)
-    return good and not mutated, {"q": q, "identity": good, "mutation_fails": not mutated}
-
-
-def _check_dickson(seed, samples):
-    rng = random.Random(seed)
-    fields = [make_field(2, 8), make_field(3, 4)]
-    done = 0
-    for _ in range(samples):
-        ctx = fields[rng.randrange(2)]
-        d = rng.randrange(1, 12)
-        a = FieldElem(ctx, rng.randrange(1, ctx.order))
-        y = FieldElem(ctx, rng.randrange(1, ctx.order))
-        lhs = dickson(d, a)(y + a / y)
-        rhs = y ** d + (a / y) ** d
-        if lhs != rhs:
-            return False, {"d": d, "alpha": a.i, "y": y.i}
-        done += 1
-    return True, {"samples": done, "max_degree": 11}
-
-
-def _check_certificate(q, alpha):
-    rep = sl2_certificate(q, alpha)
-    return rep["ok"], rep
-
-
-def _check_action_grid(q, seed):
-    """verify_b_action and verify_quotient_relations on a seeded grid."""
-    rng = random.Random(seed)
-    if q == 4:
-        actx = make_field(2, 4)
-    else:
-        actx = make_field(2, 2)
-    points = []
-    results = []
-    while len(points) < 10:
-        a = rng.randrange(2, actx.order)
-        b = rng.randrange(1, actx.order)
-        points.append((a, b))
-    special_done = False
-    for k, (a, b) in enumerate(points):
-        alpha = FieldElem(actx, a)
-        if not special_done:
-            # include the distinguished choice beta^2 = alpha^2 + alpha
-            beta = FieldElem(actx, actx.sqrt_(actx.add(actx.mul(a, a), a)))
-            special_done = True
-        else:
-            beta = FieldElem(actx, b)
-        if not beta.i:
-            beta = FieldElem(actx, 1)
-        ok_b = verify_b_action(q, alpha, beta)
-        ok_q = verify_quotient_relations(q, alpha, beta)
-        results.append({"alpha": alpha.i, "beta": beta.i, "b_action": ok_b,
-                        "quotient": ok_q})
-        if not (ok_b and ok_q):
-            return False, {"points": results}
-    return True, {"points": results}
-
-
-def _check_smoothness(q):
-    ctx = make_field(2, 4)
-    rows = []
-    ok = True
-    for c in range(ctx.order):
-        model = plane_model(q, FieldElem(ctx, c), allow_singular=True)
-        smooth, sing = smoothness_check(model)
-        want = c not in (0, 1)
-        ok = ok and (smooth == want)
-        rows.append({"c": c, "smooth": smooth, "singular_points": len(sing)})
-    return ok, {"q": q, "rows": rows}
-
-
-def _check_canonicalization(q, seed, trials):
-    rng = random.Random(seed)
-    ctxs = [make_field(2, 2), make_field(2, 4)] if q == 8 else [make_field(2, 4)]
-    done = 0
-    for _ in range(trials):
-        ctx = ctxs[rng.randrange(len(ctxs))]
-        al = FieldElem(ctx, rng.randrange(2, ctx.order))
-        zeta_i = rng.randrange(1, ctx.order)
-        gamma_i = rng.randrange(ctx.order)
-        eta_i = rng.randrange(1, ctx.order)
-        delta_i = rng.randrange(ctx.order)
-        base = f_closed(q, al)
-        lin = UniPoly(ctx, (gamma_i, zeta_i))
-        g = base.compose(lin).scale(eta_i) + UniPoly.const(ctx, delta_i)
-        cf = canonicalize(g, q)
-        got = (cf.alpha.i, cf.zeta.i, cf.gamma.i, cf.eta.i, cf.delta.i)
-        want = (al.i, zeta_i, gamma_i, eta_i, delta_i)
-        if got != want:
-            return False, {"want": want, "got": got, "field_e": ctx.e}
-        done += 1
-    return True, {"trials": done, "q": q}
+# shape distributions
 
 
 def _decode_dist(payload, degree):
@@ -357,7 +201,6 @@ def _decode_dist(payload, degree):
 
 
 def _chebotarev_checks(runner, f, q, j, mode, n, seed, threads, cdir, cfg):
-    e = log_p(q, 2)
     try:
         base = make_field(2, 2 * j)
     except ValueError as err:
@@ -379,25 +222,15 @@ def _chebotarev_checks(runner, f, q, j, mode, n, seed, threads, cdir, cfg):
             cache_put(cdir, key, payload)
         state["dist"] = dist
         state["payload"] = payload
-        state["coset"] = coset_cycle_types(q, (2 * j) % e)
-        extra = sorted(
-            list(s) for s in dist.unramified().support() - state["coset"].support())
-        return not extra, {"j": j, "coset": (2 * j) % e,
-                           "foreign_shapes": extra,
-                           "shapes": len(dist.entries)}
-
-    def tv_record():
-        tv = dist_compare(state["dist"].unramified(), state["coset"])
-        return True, {"j": j, "tv": str(tv), "tv_float": float(tv),
-                      "threshold": 0.05}
-
-    def branch():
-        bps = branch_points(f, base)
-        return len(bps) == 1, {"j": j, "finite_branch_t": [b.i for b in bps]}
+        try:
+            return checks.shape_inclusion(dist, q, j)
+        except ValueError as err:
+            raise Guard("chebotarev-ramified: every fiber drawn is ramified (%s)" % (err,))
 
     runner.run("shape-inclusion-j%d" % j, inclusion)
-    runner.run("tv-distance-j%d" % j, tv_record, kind="record")
-    runner.run("branch-points-j%d" % j, branch)
+    runner.run("tv-distance-j%d" % j, lambda: checks.tv_distance(state["dist"], q, j),
+               kind="record")
+    runner.run("branch-points-j%d" % j, lambda: checks.branch_point(f, j))
     return state["dist"], state["payload"]
 
 
@@ -409,7 +242,7 @@ def _gen(args, runner):
     spec = _family_spec(args)
     try:
         f = spec.build()
-    except (ValueError, AssertionError) as err:
+    except ValueError as err:
         raise Guard("family-build: %s" % (err,))
     payload = json.dumps(f.to_json(), sort_keys=True, indent=2)
     if args.out:
@@ -438,32 +271,30 @@ def _check_perm(args, runner):
         return True, data
 
     runner.run("perm-grid", scan, kind="record")
-    rep = box["rep"]
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["extension", "field_order", "bijective"])
-            for j, ok, _wit in rep.rows:
-                w.writerow([j, base.order ** j, ok])
+        _write_csv(args.csv, ["extension", "field_order", "bijective"],
+                   ([j, base.order ** j, ok] for j, ok, _wit in box["rep"].rows))
     if args.out:
         _write_artifact(args.out, json.dumps(box["data"], sort_keys=True, indent=2))
 
 
+def _identity_checks(runner, q, seed, samples):
+    runner.run("form-equality", lambda: checks.form_equality(q))
+    runner.run("structure-facts", lambda: checks.structure_facts(q))
+    runner.run("product-identity", lambda: checks.product_identity(q))
+    runner.run("dickson-identity", lambda: checks.dickson_identity(seed, samples))
+
+
 def _check_identities(args, runner):
-    q = args.q
-    if q not in (4, 8, 16):
-        raise Guard("identities-q-range: q must be 4, 8, or 16, got %r" % (q,))
-    runner.run("form-equality", lambda: _check_form_equality(q))
-    runner.run("structure-facts", lambda: _check_structure(q))
-    runner.run("product-identity", lambda: _check_product_identity(q))
-    runner.run("dickson-identity", lambda: _check_dickson(args.seed, args.samples))
+    if args.q not in (4, 8, 16):
+        raise Guard("identities-q-range: q must be 4, 8, or 16, got %r" % (args.q,))
+    _identity_checks(runner, args.q, args.seed, args.samples)
 
 
 def _zeta(args, runner):
     if args.q != 4:
         raise Guard("zeta-q-range: zeta runs are supported for q = 4 only")
-    ctx = make_field(2, 4)
-    c = _elem(ctx, args.c_index, "c")
+    c = _elem(make_field(2, 4), args.c_index, "c")
     cdir = _cache_dir(args)
     key = _cache_key(runner.cfg)
 
@@ -475,10 +306,7 @@ def _zeta(args, runner):
                 model = plane_model(4, c)
             except ValueError as err:
                 raise Guard("smooth-model: %s" % (err,))
-            counts = [count_points(model, m, threads=args.threads)
-                      for m in range(1, 7)]
-            zd = zeta(model, 6, counts=counts)
-            body = zd.to_json()
+            body = zeta(model, 6, threads=args.threads).to_json()
             body["c"] = {"field_e": 4, "index": c.i}
             payload = json.dumps(body, sort_keys=True, indent=2)
             cache_put(cdir, key, payload)
@@ -487,10 +315,7 @@ def _zeta(args, runner):
             print("zeta: served from cache %s" % key[:12], file=sys.stderr)
         if args.out:
             _write_artifact(args.out, payload)
-        body = json.loads(payload)
-        return (len(body["L"]) == 13 and body["p_rank"] == body["g"],
-                {"g": body["g"], "p_rank": body["p_rank"], "L": body["L"],
-                 "counts": body["counts"]})
+        return checks.zeta_summary(json.loads(payload))
 
     runner.run("zeta", check)
 
@@ -513,11 +338,9 @@ def _chebotarev(args, runner):
     if args.out:
         _write_artifact(args.out, payload)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["type", "weight"])
-            for shape, wt in sorted(dist.entries.items()):
-                w.writerow(["+".join(map(str, shape)), str(wt)])
+        _write_csv(args.csv, ["type", "weight"],
+                   (["+".join(map(str, shape)), str(wt)]
+                    for shape, wt in sorted(dist.entries.items())))
 
 
 def _weil(args, runner):
@@ -528,23 +351,20 @@ def _weil(args, runner):
             box["rep"] = weil_contradiction_report(args.q)
         except ValueError as err:
             raise Guard("weil-q-range: %s" % (err,))
-        head = box["rep"]["cases"][0]["checks"][0]
-        return head["violates"], head
+        return checks.weil_headline(box["rep"])
 
     runner.run("weil-headline", headline)
-    runner.run(
-        "weil-divisor-cases",
-        lambda: (box["rep"]["all_cases_violated"], {"cases": box["rep"]["cases"]}))
+    runner.run("weil-divisor-cases", lambda: checks.weil_cases(box["rep"]))
 
 
 def _certify(args, runner):
     field = _parse_field(args.field)
     alpha = _elem(field, args.alpha_index, "alpha")
     try:
-        runner.run("sl2-certificate", lambda: _check_certificate(args.q, alpha))
+        runner.run("sl2-certificate", lambda: checks.certificate(args.q, alpha))
     except ValueError as err:
         raise Guard("certificate-domain: %s" % (err,))
-    runner.run("b-action-grid", lambda: _check_action_grid(args.q, args.seed))
+    runner.run("b-action-grid", lambda: checks.action_grid(args.q, args.seed))
 
 
 def _verify_all(args, runner):
@@ -553,62 +373,22 @@ def _verify_all(args, runner):
         raise Guard("verify-all-q-range: suites exist for q = 4 and q = 8")
     seed = args.seed
     threads = args.threads
-    runner.run("form-equality", lambda: _check_form_equality(q))
-    runner.run("structure-facts", lambda: _check_structure(q))
-    runner.run("product-identity", lambda: _check_product_identity(q))
-    runner.run("dickson-identity", lambda: _check_dickson(seed, 200))
-    if q == 8:
-        actx = make_field(2, 2)
-
-        def perm_grid():
-            spec = FamilySpec(kind="char2_new", q=8, alpha=FieldElem(actx, 2))
-            rep = tower_scan(spec, actx, [1, 2, 3, 4, 5], threads=threads)
-            got = {j: ok for j, ok, _ in rep.rows}
-            want = {1: True, 2: True, 3: False, 4: True, 5: True}
-            return got == want, rep.to_json()
-
-        runner.run("perm-grid", perm_grid)
-        alpha_cert = FieldElem(actx, 2)
-    else:
-        actx = make_field(2, 4)
-
-        def perm_grid():
-            spec = FamilySpec(kind="char2_new", q=4, alpha=FieldElem(actx, 2))
-            rep = tower_scan(spec, actx, [1, 2, 3], threads=threads)
-            return True, rep.to_json()
-
-        runner.run("perm-grid", perm_grid, kind="record")
-        alpha_cert = FieldElem(actx, 2)
-    runner.run("sl2-certificate", lambda: _check_certificate(q, alpha_cert))
-    runner.run("b-action-grid", lambda: _check_action_grid(q, seed))
-    runner.run("smoothness", lambda: _check_smoothness(q))
-    runner.run("canonicalization",
-               lambda: _check_canonicalization(q if q == 8 else 4, seed, 25))
-    cdir = _cache_dir(args)
+    _identity_checks(runner, q, seed, 200)
+    runner.run("perm-grid", lambda: checks.perm_grid(q, threads),
+               kind="assert" if q == 8 else "record")
+    alpha = FieldElem(checks.alpha_field(q), 2)
+    runner.run("sl2-certificate", lambda: checks.certificate(q, alpha))
+    runner.run("b-action-grid", lambda: checks.action_grid(q, seed))
+    runner.run("smoothness", lambda: checks.smoothness(q))
+    runner.run("canonicalization", lambda: checks.canonicalization(q, seed, 25))
     if q == 4:
-
-        def zeta_rep():
-            ctx = make_field(2, 4)
-            model = plane_model(4, FieldElem(ctx, 2))
-            counts = [count_points(model, m, threads=threads)
-                      for m in range(1, 7)]
-            zd = zeta(model, 6, counts=counts)
-            return zd.p_rank == zd.g, {"c": 2, "counts": list(zd.counts),
-                                       "L": list(zd.L), "p_rank": zd.p_rank}
-
-        runner.run("zeta-representative", zeta_rep)
-    else:
-
-        def weil_rep():
-            rep = weil_contradiction_report(8)
-            head = rep["cases"][0]["checks"][0]
-            return head["violates"] and rep["all_cases_violated"], rep
-
-        runner.run("weil-contradiction", weil_rep)
-        f = f_closed(8, FieldElem(make_field(2, 2), 2))
-        for j in (2, 4, 7):
-            _chebotarev_checks(runner, f, 8, j, "exhaustive", None, None,
-                               threads, cdir, dict(runner.cfg, chunk=j))
+        runner.run("zeta-representative", lambda: checks.zeta_representative(threads))
+        return
+    runner.run("weil-contradiction", lambda: checks.weil_contradiction(8))
+    f = f_closed(8, alpha)
+    for j in (2, 4, 7):
+        _chebotarev_checks(runner, f, 8, j, "exhaustive", None, None,
+                           threads, _cache_dir(args), dict(runner.cfg, chunk=j))
 
 
 def _parse_ints(text):
@@ -638,25 +418,21 @@ def _build_parser():
         if cache:
             p.add_argument("--cache-dir", help="override the cache directory")
 
+    def family(p):
+        p.add_argument("--family", required=True,
+                       help="power | dickson | char2-new | char2-additive-twist | char3-twist")
+        for name in ("--q", "--d", "--n", "--alpha-index"):
+            p.add_argument(name, type=int)
+        p.add_argument("--field", required=True, help="field descriptor, e.g. p=2,e=2")
+
     p = sub.add_parser("gen", help="generate one family member as JSON")
-    p.add_argument("--family", required=True,
-                   help="power | dickson | char2-new | char2-additive-twist | char3-twist")
-    p.add_argument("--q", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha-index", type=int)
-    p.add_argument("--field", required=True, help="field descriptor, e.g. p=2,e=2")
+    family(p)
     p.add_argument("--out", help="write the polynomial JSON here")
     common(p)
     p.set_defaults(func=_gen)
 
     p = sub.add_parser("check-perm", help="bijectivity scan over a field tower")
-    p.add_argument("--family", required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha-index", type=int)
-    p.add_argument("--field", required=True)
+    family(p)
     p.add_argument("--extensions", required=True, help="e.g. 1,2,3,4,5")
     p.add_argument("--out", help="write the scan JSON here")
     p.add_argument("--csv", help="write the grid as CSV here")

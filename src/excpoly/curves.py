@@ -10,10 +10,12 @@ smooth for c outside F_2.  The additive-cover model is
 
 a degree-q cover of the w-line.  The module certifies the change of variables
 linking them, verifies the Borel and full SL2(q) automorphism actions as exact
-identities in a small function-field engine, counts points over extensions with
-three independent strategies, assembles L-polynomials with functional-equation
-and root-radius validation, and mechanizes the Weil-bound contradiction
-arithmetic used to rule out small genus alternatives.
+identities in a small function-field engine, counts points over extensions (one
+production counter over the product fibration, with per-z root counting and
+brute-force pair enumeration as independent references on small fields),
+assembles L-polynomials with functional-equation and root-radius validation,
+and mechanizes the Weil-bound contradiction arithmetic used to rule out small
+genus alternatives.
 """
 
 from __future__ import annotations
@@ -830,29 +832,14 @@ def _count_plane_fiber_range(vf, solver, q, e, c, n, chi_exp, lo, hi):
     return total
 
 
-_PF_STATE = {}
-
-
-def _plane_worker_init(field_json, q, e, c, n, chi_exp):
+def _plane_worker(field_json, q, e, c, n, chi_exp, lo, hi):
     ctx = field_from_json(field_json)
-    vf = ctx.vec
     solver = LinearSolver(ctx, lambda x: ctx.mul(x, x) ^ x)
-    _PF_STATE.update(vf=vf, solver=solver, q=q, e=e, c=c, n=n, chi_exp=chi_exp)
+    return _count_plane_fiber_range(ctx.vec, solver, q, e, c, n, chi_exp, lo, hi)
 
 
-def _plane_worker_run(span):
-    s = _PF_STATE
-    return _count_plane_fiber_range(s["vf"], s["solver"], s["q"], s["e"],
-                                    s["c"], s["n"], s["chi_exp"], span[0], span[1])
-
-
-def _count_plane_fiber(model, m, threads):
-    q = model.q
-    e = log_p(q, 2)
-    ext, params = _ext_with_param(model, m)
-    c = params[0]
+def _count_plane_fiber(q, e, ext, c, n, threads):
     Q = ext.order
-    n = math.gcd(q + 1, Q - 1)
     chi_exp = (Q - 1) // n
     total = n                                 # points at infinity
     if ext.pow_(c, chi_exp) == 1:             # y = 0 and z = 0 sections
@@ -860,11 +847,10 @@ def _count_plane_fiber(model, m, threads):
     chunk = VEC_CHUNK
     spans = [(lo, min(lo + chunk, Q)) for lo in range(1, Q, chunk)]
     if threads > 1 and len(spans) > 1:
-        with multiprocessing.Pool(
-                threads, initializer=_plane_worker_init,
-                initargs=(ext.to_json(), q, e, c, n, chi_exp)) as pool:
-            parts = pool.map(_plane_worker_run, spans)
-        total += sum(parts)
+        field_json = ext.to_json()
+        with multiprocessing.Pool(threads) as pool:
+            total += sum(pool.starmap(_plane_worker, [
+                (field_json, q, e, c, n, chi_exp, lo, hi) for lo, hi in spans]))
     else:
         vf = ext.vec
         solver = LinearSolver(ext, lambda x: ext.mul(x, x) ^ x)
@@ -874,13 +860,8 @@ def _count_plane_fiber(model, m, threads):
     return total
 
 
-def _count_plane_perz(model, m):
-    q = model.q
-    e = log_p(q, 2)
-    ext, params = _ext_with_param(model, m)
-    c = params[0]
+def _count_plane_perz(q, e, ext, c, n):
     Q = ext.order
-    n = math.gcd(q + 1, Q - 1)
     X = UniPoly.X(ext)
     total = n
     for z in range(Q):
@@ -896,13 +877,8 @@ def _count_plane_perz(model, m):
     return total
 
 
-def _count_plane_brute(model, m):
-    q = model.q
-    e = log_p(q, 2)
-    ext, params = _ext_with_param(model, m)
-    c = params[0]
+def _count_plane_brute(q, e, ext, c, n):
     Q = ext.order
-    n = math.gcd(q + 1, Q - 1)
     vf = ext.vec
     y = np.arange(Q, dtype=np.int64)
     yq1 = vf.mul(vf.pow2(y, e), y)
@@ -954,14 +930,16 @@ def _count_as_affine(model, m):
     return total
 
 
-def count_points(model, m, strategy="auto", threads=1):
+def count_points(model, m, strategy="fiber", threads=1):
     """Points of the model over the degree-m extension of its ambient field.
 
-    Plane: full projective count; strategies "fiber" (product fibration,
-    guard 2^24), "per-z" (root counting by gcd, guard 2^12), "brute"
-    (exhaustive pairs, guard 2^12), or "auto".  The additive-cover variant
-    counts only the affine non-pole locus (strategy ignored) and is meant for
-    consistency deltas, never totals.
+    Plane: full projective count of a smooth model (c outside F_2; a singular
+    one raises ValueError).  "fiber" (product fibration, guard 2^24) is the
+    production counter; "per-z" (root counting by gcd) and "brute"
+    (exhaustive pairs), both guarded at 2^12, are the independent references
+    it is tested against.  The additive-cover variant counts only the affine
+    non-pole locus (strategy ignored) and is meant for consistency deltas,
+    never totals.  A total outside the Weil bound raises ArithmeticError.
     """
     if m < 1:
         raise ValueError("extension degree must be positive")
@@ -970,24 +948,24 @@ def count_points(model, m, strategy="auto", threads=1):
         if Q > FIBER_GUARD:
             raise ValueError(f"enumeration size {Q} exceeds the guard {FIBER_GUARD}")
         return _count_as_affine(model, m)
-    if strategy == "auto":
-        strategy = "per-z" if Q <= DENSE_GUARD else "fiber"
-    if strategy == "fiber":
-        if Q > FIBER_GUARD:
-            raise ValueError(f"enumeration size {Q} exceeds the guard {FIBER_GUARD}")
-        total = _count_plane_fiber(model, m, threads)
-    elif strategy == "per-z":
-        if Q > DENSE_GUARD:
-            raise ValueError(f"enumeration size {Q} exceeds the guard {DENSE_GUARD}")
-        total = _count_plane_perz(model, m)
-    elif strategy == "brute":
-        if Q > DENSE_GUARD:
-            raise ValueError(f"enumeration size {Q} exceeds the guard {DENSE_GUARD}")
-        total = _count_plane_brute(model, m)
-    else:
+    if model.params[0] in (0, 1):
+        raise ValueError("c in F_2 gives a singular curve; its count is not supported")
+    if strategy not in ("fiber", "per-z", "brute"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    g = model.q * (model.q - 1) // 2
-    assert (total - Q - 1) ** 2 <= 4 * g * g * Q, "count breaks the Weil bound"
+    guard = FIBER_GUARD if strategy == "fiber" else DENSE_GUARD
+    if Q > guard:
+        raise ValueError(f"enumeration size {Q} exceeds the guard {guard}")
+    q = model.q
+    ext, (c,) = _ext_with_param(model, m)
+    # the last entry, n = gcd(q + 1, Q - 1), counts the points at infinity
+    plane = (q, log_p(q, 2), ext, c, math.gcd(q + 1, Q - 1))
+    if strategy == "fiber":
+        total = _count_plane_fiber(*plane, threads)
+    else:
+        total = (_count_plane_perz if strategy == "per-z" else _count_plane_brute)(*plane)
+    g = q * (q - 1) // 2
+    if (total - Q - 1) ** 2 > 4 * g * g * Q:
+        raise ArithmeticError(f"count {total} over GF({Q}) breaks the Weil bound")
     return total
 
 
@@ -1015,7 +993,7 @@ class ZetaData:
                    tuple(int(x) for x in obj["L"]), int(obj["p_rank"]))
 
 
-def zeta(model, g, strategy="auto", threads=1, counts=None):
+def zeta(model, g, threads=1, counts=None):
     """Counts over m = 1..g, then the L-polynomial with full validation.
 
     The reciprocal-root power sums are S_m = base^m + 1 - N_m; Newton's
@@ -1030,8 +1008,7 @@ def zeta(model, g, strategy="auto", threads=1, counts=None):
         raise ValueError("zeta needs the smooth plane model")
     base = model.ambient.order
     if counts is None:
-        counts = [count_points(model, m, strategy=strategy, threads=threads)
-                  for m in range(1, g + 1)]
+        counts = [count_points(model, m, threads=threads) for m in range(1, g + 1)]
     counts = [int(n) for n in counts]
     if len(counts) != g:
         raise ValueError(f"need counts for m = 1..{g}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 
-from .families import FamilySpec
+from .families import FamilySpec, _require
 from .ff import VEC_CHUNK, FieldCtx, FieldElem, field_from_json, lift, log_p, make_field
 
 #: Default cap on the size of any single exhaustively enumerated field.
@@ -134,11 +134,6 @@ def _mult_order(ctx, a, bound):
         while t % ell == 0 and ctx.pow_(a, t // ell) == 1:
             t //= ell
     return t
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ValueError(msg)
 
 
 def _verdict_power(spec, base):

@@ -36,6 +36,12 @@ class NotInFamily(Exception):
     """canonicalize could not express the input inside the family."""
 
 
+def _require(cond, message):
+    """Input check that survives python -O."""
+    if not cond:
+        raise ValueError(message)
+
+
 def trace_poly(q, ctx=None):
     """The additive polynomial T with T(x)^2 + T(x) = x^q + x.
 
@@ -45,7 +51,7 @@ def trace_poly(q, ctx=None):
     e = log_p(q, 2)
     if ctx is None:
         ctx = make_field(2, e)
-    assert ctx.p == 2
+    _require(ctx.p == 2, "trace_poly needs a characteristic-2 field")
     c = [0] * ((1 << (e - 1)) + 1)
     for i in range(e):
         c[1 << i] = 1
@@ -60,8 +66,7 @@ def f_closed(q, alpha):
     """
     ctx = alpha.ctx
     e = log_p(q, 2)
-    assert e >= 2, "q must be at least 4"
-    assert ctx.p == 2
+    _require(e >= 2 and ctx.p == 2, "f_closed needs q >= 4 and alpha in characteristic 2")
     a = alpha.i
     if a in (0, 1):
         raise ValueError("alpha must lie outside GF(2)")
@@ -94,7 +99,7 @@ def f_product(q, a):
     """
     ctx = a.ctx
     e = log_p(q, 2)
-    assert e >= 2 and ctx.p == 2
+    _require(e >= 2 and ctx.p == 2, "f_product needs q >= 4 and a in characteristic 2")
     amb = make_field(2, math.lcm(e, ctx.e))
     up = embed(ctx, amb)
     gfq = make_field(2, e)
@@ -121,7 +126,7 @@ def f_product(q, a):
 def dickson(d, alpha):
     """Dickson polynomial D_d(X, alpha): D_d(y + alpha/y) = y^d + (alpha/y)^d."""
     ctx = alpha.ctx
-    assert d >= 1
+    _require(d >= 1, "the Dickson degree must be at least 1")
     coeffs = [0] * (d + 1)
     na = ctx.neg(alpha.i)
     for i in range(d // 2 + 1):
@@ -140,11 +145,11 @@ def family_iv(q, n, alpha):
     """
     ctx = alpha.ctx
     e = log_p(q, 2)
-    assert ctx.p == 2 and q > 2
-    assert e % 2 == 1, "the exponent e must be odd"
-    assert (q + 1) % n == 0, "n must divide q+1"
+    _require(ctx.p == 2 and q > 2, "family_iv needs q > 2 and alpha in characteristic 2")
+    _require(e % 2 == 1, "the exponent e must be odd")
+    _require((q + 1) % n == 0, "n must divide q+1")
     a = alpha.i
-    assert a != 0
+    _require(a != 0, "alpha must be nonzero")
     inner = [0] * (n * ((1 << (e - 1)) - 1) + 1)
     for i in range(e):
         k = (1 << i) - 1
@@ -163,11 +168,11 @@ def family_v(q, n, alpha):
     """
     ctx = alpha.ctx
     e = log_p(q, 3)
-    assert ctx.p == 3
-    assert e % 2 == 1, "the exponent e must be odd"
-    assert (q + 1) % (4 * n) == 0, "4n must divide q+1"
+    _require(ctx.p == 3, "family_v needs alpha in characteristic 3")
+    _require(e % 2 == 1, "the exponent e must be odd")
+    _require((q + 1) % (4 * n) == 0, "4n must divide q+1")
     a = alpha.i
-    assert a != 0
+    _require(a != 0, "alpha must be nonzero")
     base = [0] * (2 * n + 1)
     base[0] = ctx.neg(a)
     base[2 * n] = 1
@@ -194,7 +199,7 @@ class FamilySpec:
     field: FieldCtx | None = None
 
     def __post_init__(self):
-        assert self.kind in FAMILY_KINDS, f"unknown kind {self.kind!r}"
+        _require(self.kind in FAMILY_KINDS, f"unknown kind {self.kind!r}")
 
     def base_field(self):
         if self.alpha is not None:

@@ -2,8 +2,12 @@
 pass/fail line under pytest -v) each.
 
 Every criterion is verified at full stated strength; nothing here is
-downgraded to a smoke test.  The only shared state is the session-scoped
-zeta fixture for the first curve parameter, which the curve tests reuse.
+downgraded to a smoke test.  Where a criterion's grid is the CLI's grid
+(01, 02, 03, 06, 07, 08, 09) the test runs the same excpoly.checks function
+that verify-all reports, and asserts on its (ok, data); 04, 05, 10 and 11
+sample their own grids and seeds.  The only shared state is the
+session-scoped zeta fixture for the first curve parameter, which the curve
+tests reuse.
 """
 
 import random
@@ -14,49 +18,27 @@ from excpoly import (
     CanonicalForm,
     FamilySpec,
     FieldElem,
-    UniPoly,
-    branch_points,
     canonicalize,
     chebotarev_sample,
-    coset_cycle_types,
+    checks,
     count_points,
     dickson,
-    dist_compare,
     embed,
     exceptionality_verdict,
     f_closed,
-    f_product,
     is_permutation,
     make_field,
     plane_model,
     quotient_relations_report,
     sl2_certificate,
-    smoothness_check,
     tower_scan,
-    trace_poly,
-    verify_product_identity,
-    verify_sl2_certificate,
-    weil_contradiction_report,
     zeta,
 )
-from excpoly.cli import _check_action_grid
 from excpoly.curves import _weil_radius_deviation
 
 G2 = make_field(2, 1)
 G4 = make_field(2, 2)
 G16 = make_field(2, 4)
-G64 = make_field(2, 6)
-
-
-def alpha_grids(q):
-    """The acceptance grid: alpha over GF(2^4) minus F_2, and additionally
-    over GF(2^6) minus F_2 when q = 8."""
-    grids = [G16]
-    if q == 8:
-        grids.append(G64)
-    for ctx in grids:
-        for i in range(2, ctx.order):
-            yield FieldElem(ctx, i)
 
 
 # ---------------------------------------------------------------------------
@@ -65,34 +47,20 @@ def alpha_grids(q):
 
 @pytest.mark.parametrize("q", [4, 8, 16])
 def test_criterion_01_form_equality(q):
-    checked = 0
-    for al in alpha_grids(q):
-        one = FieldElem(al.ctx, 1)
-        assert f_closed(q, al) == f_product(q, al + one), (q, al.ctx.e, al.i)
-        checked += 1
-    assert checked == (76 if q == 8 else 14)
+    ok, data = checks.form_equality(q)
+    assert ok, data
+    assert data["alphas"] == (76 if q == 8 else 14)
     print(f"criterion 01 (form equality, q={q}): PASS")
 
 
 # ---------------------------------------------------------------------------
-# 2. structure facts on the same grid
+# 2. structure facts on the same grid: degree and monicity, the trace-shift
+# divisor, the even quotient, and the X^2 valuation
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
 def test_criterion_02_structure_facts(q):
-    deg = q * (q - 1) // 2
-    for al in alpha_grids(q):
-        ctx = al.ctx
-        f = f_closed(q, al)
-        assert f.is_monic() and f.degree == deg
-        T = trace_poly(q, ctx)
-        quo, rem = divmod(f, T + UniPoly.const(ctx, al.i))
-        assert rem.is_zero(), "trace-shift divisor fails at alpha=%d" % al.i
-        assert all(quo.coeff(k) == 0 for k in range(1, quo.degree + 1, 2))
-        v = 0
-        while f.coeff(v) == 0:
-            v += 1
-        assert (v == 2) == (ctx.pow_(al.i, q) == al.i)
+    assert checks.structure_facts(q) == (True, {"q": q})
     print(f"criterion 02 (structure facts, q={q}): PASS")
 
 
@@ -102,8 +70,8 @@ def test_criterion_02_structure_facts(q):
 
 def test_criterion_03_product_identity():
     for q in (4, 8, 16, 32):
-        assert verify_product_identity(q) is True, q
-        assert verify_product_identity(q, mutate=True) is False, q
+        ok, data = checks.product_identity(q)
+        assert ok and data["identity"] is True and data["mutation_fails"] is True, data
     print("criterion 03 (product identity q in {4,8,16,32} + mutation): PASS")
 
 
@@ -219,13 +187,13 @@ def test_criterion_05_zeta_grid(zeta_c2):
 
 def test_criterion_06_smoothness():
     for q in (4, 8, 16):
-        for c in range(16):
-            model = plane_model(q, FieldElem(G16, c), allow_singular=True)
-            smooth, sing = smoothness_check(model)
-            if c in (0, 1):
-                assert not smooth and sing, (q, c)
-            else:
-                assert smooth and not sing, (q, c)
+        ok, data = checks.smoothness(q)
+        assert ok, data
+        assert [row["c"] for row in data["rows"]] == list(range(16))
+        for row in data["rows"]:
+            singular = row["c"] in (0, 1)
+            assert row["smooth"] == (not singular), (q, row)
+            assert (row["singular_points"] > 0) is singular, (q, row)
     print("criterion 06 (smoothness iff c outside F_2): PASS")
 
 
@@ -234,10 +202,10 @@ def test_criterion_06_smoothness():
 
 
 def test_criterion_07_certificates():
-    for ai in range(2, 16):
-        assert verify_sl2_certificate(4, FieldElem(G16, ai)) is True, ai
-    for ai in (2, 3):
-        assert verify_sl2_certificate(8, FieldElem(G4, ai)) is True, ai
+    for ctx, q in ((G16, 4), (G4, 8)):
+        for ai in range(2, ctx.order):
+            ok, rep = checks.certificate(q, FieldElem(ctx, ai))
+            assert ok is True, (q, ai, rep)
 
     # breaking beta^2 = alpha + alpha^2 must fail step 2
     good4 = sl2_certificate(4, FieldElem(G16, 2))
@@ -251,11 +219,11 @@ def test_criterion_07_certificates():
 
     # 10-point seeded grids for the cover automorphisms and the quotient
     for q, seed in ((4, 20260822), (8, 20260823)):
-        ok, data = _check_action_grid(q, seed)
+        ok, data = checks.action_grid(q, seed)
         assert ok, data
         assert len(data["points"]) == 10
         first = data["points"][0]
-        actx = G16 if q == 4 else G4
+        actx = checks.alpha_field(q)
         a, b = first["alpha"], first["beta"]
         assert actx.mul(b, b) == actx.add(actx.mul(a, a), a)
         rep = quotient_relations_report(
@@ -270,24 +238,18 @@ def test_criterion_07_certificates():
 
 def test_criterion_08_chebotarev():
     f = f_closed(8, FieldElem(G4, 2))
-    # (a) zero-tolerance shape inclusion over three base sizes
-    for j in (2, 4, 8):
-        base = make_field(2, 2 * j)
-        dist = chebotarev_sample(f, base)
-        coset = coset_cycle_types(8, (2 * j) % 3)
-        foreign = dist.unramified().support() - coset.support()
-        assert not foreign, (j, sorted(foreign))
+    dists = {j: chebotarev_sample(f, make_field(2, 2 * j)) for j in (2, 4, 7, 8)}
+    for j, dist in dists.items():
+        # (a) zero-tolerance shape inclusion
+        ok, data = checks.shape_inclusion(dist, 8, j)
+        assert ok and data["foreign_shapes"] == [], data
         # (c) exactly one finite branch point for this base
-        assert [b.i for b in branch_points(f, base)] == [0], j
-
+        assert checks.branch_point(f, j) == (True, {"j": j, "finite_branch_t": [0]})
     # (b) empirical-vs-exact total variation over GF(4^7)
-    base7 = make_field(2, 14)
-    dist7 = chebotarev_sample(f, base7)
-    coset7 = coset_cycle_types(8, 14 % 3)
-    tv = dist_compare(dist7.unramified(), coset7)
-    assert float(tv) <= 0.05, float(tv)
-    assert [b.i for b in branch_points(f, base7)] == [0]
-    print(f"criterion 08 (shape inclusion, TV={float(tv):.5f} <= 0.05, branch points): PASS")
+    ok, data = checks.tv_distance(dists[7], 8, 7)
+    assert ok and data["tv_float"] <= 0.05, data
+    print(f"criterion 08 (shape inclusion, TV={data['tv_float']:.5f} <= 0.05, "
+          "branch points): PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +257,15 @@ def test_criterion_08_chebotarev():
 
 
 def test_criterion_09_weil_contradiction():
-    rep8 = weil_contradiction_report(8)
-    head8 = rep8["cases"][0]["checks"][0]
-    assert (head8["g"], head8["s"], head8["claimed"]) == (28, 4, 252)
-    assert head8["weil_max"] == 117 and head8["violates"] is True
-    rep32 = weil_contradiction_report(32)
-    head32 = rep32["cases"][0]["checks"][0]
-    assert (head32["g"], head32["s"], head32["claimed"]) == (496, 4, 16368)
-    assert head32["weil_max"] == 1989 and head32["violates"] is True
-    for rep in (rep8, rep32):
+    for q, want in ((8, (28, 4, 252, 117)), (32, (496, 4, 16368, 1989))):
+        ok, rep = checks.weil_contradiction(q)
+        assert ok, rep
+        violates, head = checks.weil_headline(rep)
+        assert (head["g"], head["s"], head["claimed"], head["weil_max"]) == want
+        assert violates is True and head["violates"] is True
         for case in rep["cases"]:
             assert any(ch["violates"] for ch in case["checks"]), case
-        assert rep["all_cases_violated"] is True
+        assert checks.weil_cases(rep)[0] is True and rep["all_cases_violated"] is True
     print("criterion 09 (Weil contradiction q=8 and q=32): PASS")
 
 

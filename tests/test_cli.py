@@ -365,6 +365,14 @@ def test_chebotarev_guards(capsys, tmp_path):
     assert code == 3
     assert rep["checks"][-1]["data"]["guard"].startswith("seed-required")
 
+    # the one fiber drawn is t = 0, the branch point: nothing unramified to
+    # compare, on a cold cache and on the warm one the first run wrote
+    for _ in ("cold", "warm"):
+        code, rep, _ = run_json(capsys, base_argv + [
+            "--q", "8", "--j", "1", "--mode", "sampled", "--n", "1", "--seed", "2"])
+        assert code == 3
+        assert rep["checks"][-1]["data"]["guard"].startswith("chebotarev-ramified")
+
 
 # ---------------------------------------------------------------------------
 # verify-all

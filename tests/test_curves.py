@@ -11,6 +11,7 @@ from excpoly import (
     ZetaData,
     artin_schreier_model,
     count_points,
+    curves,
     make_field,
     plane_model,
     quotient_relations_report,
@@ -191,6 +192,30 @@ def test_count_strategies_agree_on_small_extensions():
     assert count_points(model, 1, strategy="fiber") == 35
     assert count_points(model, 2, strategy="per-z") == 275
     assert count_points(model, 2, strategy="fiber") == 275
+    model8 = plane_model(8, FieldElem(G16, 3))
+    assert count_points(model8, 3) == count_points(model8, 3, strategy="per-z")
+    # singular models (c in F_2) are not counted by any strategy
+    for ci in (0, 1):
+        singular = plane_model(4, FieldElem(G16, ci), allow_singular=True)
+        for strategy in ("fiber", "per-z", "brute"):
+            with pytest.raises(ValueError, match="singular"):
+                count_points(singular, 1, strategy=strategy)
+
+
+def test_count_fiber_pool_matches_one_process(monkeypatch):
+    model = plane_model(4, FieldElem(G16, 2))
+    pools = []
+    real_pool = curves.multiprocessing.Pool
+
+    def spy(processes, *args, **kwargs):
+        pools.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(curves.multiprocessing, "Pool", spy)
+    one = count_points(model, 4, threads=1)      # 2^16 values of u: 4 spans
+    assert pools == []
+    assert count_points(model, 4, threads=2) == one
+    assert pools == [2]
 
 
 @pytest.mark.parametrize("e", [3, 4, 8, 9, 12, 16, 17, 24, 26])

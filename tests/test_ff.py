@@ -359,10 +359,18 @@ def test_log_p():
 def test_library_checks_raise_under_python_O():
     """The named errors must not depend on assert statements being live."""
     code = """
-from excpoly.families import trace_poly
-from excpoly.ff import VecField, embed, lift, log_p, make_field, rel_trace
+import contextlib, io, json
+from excpoly import cli
+from excpoly.families import FamilySpec, dickson, f_closed, family_iv, trace_poly
+from excpoly.ff import FieldElem, VecField, embed, lift, log_p, make_field, rel_trace
+one = FieldElem(make_field(2, 2), 1)
 cases = [
     lambda: trace_poly(12),
+    lambda: trace_poly(4, make_field(3, 1)),
+    lambda: FamilySpec(kind="wibble"),
+    lambda: family_iv(8, 4, one),
+    lambda: f_closed(2, one),
+    lambda: dickson(0, one),
     lambda: embed(make_field(2, 2), make_field(3, 2)),
     lambda: embed(make_field(2, 2), make_field(2, 3)),
     lambda: rel_trace(8, make_field(2, 4).one),
@@ -376,6 +384,15 @@ for i, case in enumerate(cases):
     except ValueError:
         continue
     raise SystemExit("case %d raised no ValueError" % i)
+for argv, guard in (
+        (["gen", "--family", "wibble", "--field", "p=2,e=2"], "family-kind"),
+        (["gen", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
+          "--alpha-index", "1", "--field", "p=2,e=1"], "family-build")):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run(argv)
+    got = json.loads(out.getvalue())["checks"][-1]["data"].get("guard", "")
+    if code != 3 or not got.startswith(guard):
+        raise SystemExit("%s: exit %s, guard %r" % (argv[:3], code, got))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(excpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
