@@ -58,7 +58,8 @@ def _elem(ctx, idx, what):
     return FieldElem(ctx, idx)
 
 
-def _family_spec(args):
+def _family(args):
+    """The FamilySpec the arguments name and its polynomial, or a Guard."""
     kind = args.family.replace("-", "_")
     field = _parse_field(args.field)
     alpha = None
@@ -75,7 +76,10 @@ def _family_spec(args):
         )
     except ValueError as err:
         raise Guard("family-kind: %s" % (err,))
-    return spec
+    try:
+        return spec, spec.build()
+    except ValueError as err:
+        raise Guard("family-build: %s" % (err,))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +243,7 @@ def _chebotarev_checks(runner, f, q, j, mode, n, seed, threads, cdir, cfg):
 
 
 def _gen(args, runner):
-    spec = _family_spec(args)
-    try:
-        f = spec.build()
-    except ValueError as err:
-        raise Guard("family-build: %s" % (err,))
+    spec, f = _family(args)
     payload = json.dumps(f.to_json(), sort_keys=True, indent=2)
     if args.out:
         _write_artifact(args.out, payload)
@@ -255,7 +255,7 @@ def _gen(args, runner):
 
 
 def _check_perm(args, runner):
-    spec = _family_spec(args)
+    spec, _f = _family(args)
     base = spec.base_field()
     degrees = _parse_ints(args.extensions)
     box = {}

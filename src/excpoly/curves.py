@@ -743,46 +743,29 @@ def smoothness_check(model):
 # ---------------------------------------------------------------------------
 # vectorized counting
 
-class LinearSolver:
-    """Gauss data for an F_2-linear map on GF(2^N) packed indices.
+def _quadratic_maps(vf):
+    """x^2 + x = d on arrays, as two F_2-linear maps of d: a root x, and a
+    residual that is 0 exactly where d lies in the image, i.e. where x solves
+    it.  Both come from one Gauss elimination of the basis images."""
+    ctx = vf.ctx
+    pivots = {}
+    for j in range(vf.N):
+        val, pre = ctx.mul(1 << j, 1 << j) ^ (1 << j), 1 << j
+        while val and val.bit_length() - 1 in pivots:
+            v2, p2 = pivots[val.bit_length() - 1]
+            val, pre = val ^ v2, pre ^ p2
+        if val:
+            pivots[val.bit_length() - 1] = (val, pre)
 
-    Solves image_fn(x) = d vectorized: apply() returns (x, residual); the
-    equation is solvable exactly where residual == 0, and then the returned x
-    satisfies image_fn(x) = d.  kernel_dim counts the solution multiplicity.
-    """
-
-    def __init__(self, ctx, image_fn):
-        N = ctx.e
-        pivots = {}
-        kernel = 0
-        for j in range(N):
-            val = image_fn(1 << j)
-            pre = 1 << j
-            while val:
-                h = val.bit_length() - 1
-                if h in pivots:
-                    v2, p2 = pivots[h]
-                    val ^= v2
-                    pre ^= p2
-                else:
-                    pivots[h] = (val, pre)
-                    break
-            if val == 0:
-                kernel += 1
-        self.N = N
-        self.pivots = pivots
-        self.kernel_dim = kernel
-
-    def apply(self, d):
-        x = np.zeros_like(d)
-        for h in range(self.N - 1, -1, -1):
-            if h not in self.pivots:
-                continue
-            val, pre = self.pivots[h]
-            sel = (d >> h) & 1
-            d = d ^ (sel * val)
-            x = x ^ (sel * pre)
+    def solve(d):
+        x = 0
+        for h in sorted(pivots, reverse=True):
+            if (d >> h) & 1:
+                d ^= pivots[h][0]
+                x ^= pivots[h][1]
         return x, d
+    return (vf.linear("quadratic-root", lambda d: solve(d)[0]),
+            vf.linear("quadratic-residual", lambda d: solve(d)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -797,67 +780,80 @@ def _ext_with_param(model, m):
     return ext, tuple(up.apply(p) for p in model.params)
 
 
-def _count_plane_fiber_range(vf, solver, q, e, c, n, chi_exp, lo, hi):
+def _count_plane_fiber_range(vf, quadratic, q, e, c, n, a, d, lo, hi):
     """Count affine points with y, z != 0 whose product u = yz lies in [lo, hi).
 
     For fixed u the equation collapses to s^2 + (T(u) + c) s + u^(q+1) = 0
     with s = y^(q+1); each root s in the image of the (q+1)-power map
-    contributes n values of y (z is then determined).
+    contributes n values of y (z is then determined).  (y, z) -> (y^A, z^A),
+    A = 2^a the ambient order, carries the fiber of u onto the fiber of u^A,
+    so only the least u of each orbit under u -> u^A is counted, weighted by
+    the orbit length.  s is an n-th power iff its norm to GF(2^d) is, for n
+    dividing 2^d - 1.  quadratic is _quadratic_maps(vf).  Returns (count,
+    the summed weights).
     """
-    total = 0
+    N = vf.N
+    if N % a or N % d or (2**d - 1) % n:
+        raise ArithmeticError(f"degrees a = {a}, d = {d} do not fit GF(2^{N}) and n = {n}")
     u = np.arange(max(lo, 1), hi, dtype=np.int64)
+    weight = np.full(u.size, N // a, dtype=np.int64)
+    cur = u
+    for j in range(1, N // a):
+        cur = vf.pow2(cur, a)
+        least = cur >= u
+        u, cur, weight = u[least], cur[least], weight[least]
+        weight[(cur == u) & (weight > j)] = j
     if u.size == 0:
-        return 0
-    tvals = vf.trace_T(u, e)
-    b = tvals ^ c
+        return 0, 0
+    b = vf.trace_T(u, e) ^ c
     uq1 = vf.mul(vf.pow2(u, e), u)
     zero_b = b == 0
     # b = 0: the double root s = sqrt(u^(q+1)) is always a (q+1)-th power
-    total += n * int(np.count_nonzero(zero_b))
+    total = n * int(weight[zero_b].sum())
     nz = ~zero_b
-    b = b[nz]
-    uq1 = uq1[nz]
+    b, uq1, w = b[nz], uq1[nz], weight[nz]
     if b.size:
-        d = vf.mul(uq1, vf.sq(vf.inv(b)))
-        sol, res = solver.apply(d)
-        good = res == 0
-        b = b[good]
-        sol = sol[good]
-        d = d[good]
+        dd = vf.mul(uq1, vf.sq(vf.inv(b)))
+        root, residual = quadratic
+        good = residual(dd) == 0
+        b, dd, w = b[good], dd[good], w[good]
         if b.size:
-            assert np.all(vf.sq(sol) ^ sol == d)
+            sol = root(dd)
+            if not np.all(vf.sq(sol) ^ sol == dd):
+                raise ArithmeticError("the quadratic solver returned a wrong root of s^2 + s = d")
             s = vf.mul(b, sol)
-            hits = int(np.count_nonzero(vf.pow_(s, chi_exp) == 1))
-            total += 2 * n * hits
-    return total
+            chi = vf.pow_(vf.norm(s, d), (2**d - 1) // n) == 1
+            total += 2 * n * int(w[chi].sum())
+    return total, int(weight.sum())
 
 
-def _plane_worker(field_json, q, e, c, n, chi_exp, lo, hi):
-    ctx = field_from_json(field_json)
-    solver = LinearSolver(ctx, lambda x: ctx.mul(x, x) ^ x)
-    return _count_plane_fiber_range(ctx.vec, solver, q, e, c, n, chi_exp, lo, hi)
+def _plane_worker(field_json, q, e, c, n, a, d, lo, hi):
+    vf = field_from_json(field_json).vec
+    return _count_plane_fiber_range(vf, _quadratic_maps(vf), q, e, c, n, a, d, lo, hi)
 
 
-def _count_plane_fiber(q, e, ext, c, n, threads):
+def _count_plane_fiber(q, e, ext, c, n, a, threads):
     Q = ext.order
-    chi_exp = (Q - 1) // n
+    N = ext.e
+    # least subfield GF(2^d) whose unit group has order divisible by n
+    d = next(k for k in range(1, N + 1) if N % k == 0 and (2**k - 1) % n == 0)
     total = n                                 # points at infinity
-    if ext.pow_(c, chi_exp) == 1:             # y = 0 and z = 0 sections
+    if ext.pow_(c, (Q - 1) // n) == 1:        # y = 0 and z = 0 sections
         total += 2 * n
     chunk = VEC_CHUNK
     spans = [(lo, min(lo + chunk, Q)) for lo in range(1, Q, chunk)]
     if threads > 1 and len(spans) > 1:
         field_json = ext.to_json()
         with multiprocessing.Pool(threads) as pool:
-            total += sum(pool.starmap(_plane_worker, [
-                (field_json, q, e, c, n, chi_exp, lo, hi) for lo, hi in spans]))
+            parts = pool.starmap(_plane_worker, [
+                (field_json, q, e, c, n, a, d, lo, hi) for lo, hi in spans])
     else:
-        vf = ext.vec
-        solver = LinearSolver(ext, lambda x: ext.mul(x, x) ^ x)
-        for lo, hi in spans:
-            total += _count_plane_fiber_range(vf, solver, q, e, c, n,
-                                              chi_exp, lo, hi)
-    return total
+        quadratic = _quadratic_maps(ext.vec)
+        parts = [_count_plane_fiber_range(ext.vec, quadratic, q, e, c, n, a, d, lo, hi)
+                 for lo, hi in spans]
+    if sum(w for _, w in parts) != Q - 1:
+        raise ArithmeticError(f"orbit weights do not sum to the {Q - 1} values of u")
+    return total + sum(t for t, _ in parts)
 
 
 def _count_plane_perz(q, e, ext, c, n):
@@ -891,67 +887,33 @@ def _count_plane_brute(q, e, ext, c, n):
     return total
 
 
-def _count_as_affine(model, m):
-    """Affine non-pole count for the additive-cover model.
-
-    Fiber w contributes 2^dim(ker) solutions when (a+b) w + w^q T(b/(1+w^(q-1)))
-    lands in the image of v -> v^q + v, and 0 otherwise; fibers with
-    w^(q-1) = 1 are poles of the right-hand side and are excluded.
-    """
-    q = model.q
-    e = log_p(q, 2)
-    ext, params = _ext_with_param(model, m)
-    a, b = params
-    vf = ext.vec
-    solver = LinearSolver(ext, lambda x: ext.pow_(x, q) ^ x)
-    kappa = 1 << solver.kernel_dim
-    assert solver.kernel_dim == math.gcd(e, ext.e)
-    Q = ext.order
-    ab = ext.add(a, b)
-    total = kappa                             # w = 0: right side vanishes
-    chunk = VEC_CHUNK
-    for lo in range(1, Q, chunk):
-        w = np.arange(lo, min(lo + chunk, Q), dtype=np.int64)
-        wq = vf.pow2(w, e)
-        denom = vf.mul(wq, vf.inv(w)) ^ 1     # w^(q-1) + 1
-        ok = denom != 0
-        w = w[ok]
-        wq = wq[ok]
-        denom = denom[ok]
-        ip = vf.inv(denom)
-        acc = np.zeros_like(w)
-        cur = ip
-        for i in range(e):
-            acc = acc ^ vf.mul(cur, int(ext.pow_(b, 1 << i)))
-            cur = vf.sq(cur)
-        rhs = vf.mul(w, ab) ^ vf.mul(wq, acc)
-        _, res = solver.apply(rhs)
-        total += kappa * int(np.count_nonzero(res == 0))
-    return total
-
-
 def count_points(model, m, strategy="fiber", threads=1):
-    """Points of the model over the degree-m extension of its ambient field.
+    """Projective points of a smooth plane model (c outside F_2) over the
+    degree-m extension GF(Q) of its ambient field GF(A); a singular or
+    non-plane model raises ValueError.  "fiber" (product fibration, guard
+    2^24) is the production counter; "per-z" (root counting by gcd) and
+    "brute" (exhaustive pairs), both guarded at 2^12, are the independent
+    references it is tested against.  A total outside the Weil bound raises
+    ArithmeticError.
 
-    Plane: full projective count of a smooth model (c outside F_2; a singular
-    one raises ValueError).  "fiber" (product fibration, guard 2^24) is the
-    production counter; "per-z" (root counting by gcd) and "brute"
-    (exhaustive pairs), both guarded at 2^12, are the independent references
-    it is tested against.  The additive-cover variant counts only the affine
-    non-pole locus (strategy ignored) and is meant for consistency deltas,
-    never totals.  A total outside the Weil bound raises ArithmeticError.
+    The fiber counter sums the points of the fibers yz = u (README, design
+    notes, with references).  As c lies in GF(A) and T has F_2 coefficients,
+    (y, z) -> (y^A, z^A) maps the fiber of u onto that of u^A, so one u per
+    orbit of u -> u^A is counted, weighted by the orbit length.  A root s is
+    a (q+1)-th power iff s^((Q-1)/n) = 1, n = gcd(q+1, Q-1); for the least
+    d dividing log2 Q with n | 2^d - 1 that is N(s)^((2^d-1)/n), N the norm
+    to GF(2^d), which VecField.norm forms by the Itoh-Tsujii chain.  (n need
+    not divide A - 1: q = 8 over GF(16) at m = 3 has n = 9.)
     """
     if m < 1:
         raise ValueError("extension degree must be positive")
-    Q = model.ambient.order**m
-    if model.variant == "artin_schreier":
-        if Q > FIBER_GUARD:
-            raise ValueError(f"enumeration size {Q} exceeds the guard {FIBER_GUARD}")
-        return _count_as_affine(model, m)
+    if model.variant != "plane":
+        raise ValueError(f"count_points needs the plane model, not {model.variant!r}")
     if model.params[0] in (0, 1):
         raise ValueError("c in F_2 gives a singular curve; its count is not supported")
     if strategy not in ("fiber", "per-z", "brute"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    Q = model.ambient.order**m
     guard = FIBER_GUARD if strategy == "fiber" else DENSE_GUARD
     if Q > guard:
         raise ValueError(f"enumeration size {Q} exceeds the guard {guard}")
@@ -960,7 +922,7 @@ def count_points(model, m, strategy="fiber", threads=1):
     # the last entry, n = gcd(q + 1, Q - 1), counts the points at infinity
     plane = (q, log_p(q, 2), ext, c, math.gcd(q + 1, Q - 1))
     if strategy == "fiber":
-        total = _count_plane_fiber(*plane, threads)
+        total = _count_plane_fiber(*plane, model.ambient.e, threads)
     else:
         total = (_count_plane_perz if strategy == "per-z" else _count_plane_brute)(*plane)
     g = q * (q - 1) // 2
@@ -1034,13 +996,15 @@ def zeta(model, g, threads=1, counts=None):
         raise ValueError("reciprocal roots stray from absolute value sqrt(base)")
     if sum(L) <= 0:
         raise ValueError("L(1) must be positive")
-    assert L[2 * g] == base**g
+    if L[2 * g] != base**g:
+        raise ArithmeticError(f"leading coefficient {L[2 * g]} is not base^g")
     p_rank = 0
     for k in range(g, -1, -1):
         if L[k] % 2:
             p_rank = k
             break
-    assert 0 <= p_rank <= g
+    if not 0 <= p_rank <= g:
+        raise ArithmeticError(f"p-rank {p_rank} lies outside 0..{g}")
     return ZetaData(g, base, tuple(counts), tuple(L), p_rank)
 
 

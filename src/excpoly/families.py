@@ -29,7 +29,14 @@ __all__ = [
     "canonicalize",
 ]
 
-FAMILY_KINDS = ("power", "dickson", "char2_new", "char2_additive_twist", "char3_twist")
+# each kind with the FamilySpec fields its build needs
+FAMILY_KINDS = {
+    "power": ("d",),
+    "dickson": ("d", "alpha"),
+    "char2_new": ("q", "alpha"),
+    "char2_additive_twist": ("q", "n", "alpha"),
+    "char3_twist": ("q", "n", "alpha"),
+}
 
 
 class NotInFamily(Exception):
@@ -204,7 +211,7 @@ class FamilySpec:
     def base_field(self):
         if self.alpha is not None:
             return self.alpha.ctx
-        assert self.field is not None
+        _require(self.field is not None, f"{self.kind} needs a field or alpha")
         return self.field
 
     def degree(self):
@@ -215,6 +222,8 @@ class FamilySpec:
         return self.q * (self.q - 1) // 2
 
     def build(self):
+        missing = [name for name in FAMILY_KINDS[self.kind] if getattr(self, name) is None]
+        _require(not missing, f"{self.kind} needs {', '.join(missing)}")
         if self.kind == "power":
             return UniPoly.monomial(self.base_field(), self.d)
         if self.kind == "dickson":

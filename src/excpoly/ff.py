@@ -556,16 +556,6 @@ VEC_CHUNK = 1 << 14
 
 
 @functools.cache
-def _spread_table():
-    """Bit i of every 16-bit index moved to bit 2i: squaring without a carry."""
-    x = np.arange(1 << 16, dtype=np.int64)
-    r = np.zeros(1 << 16, dtype=np.int64)
-    for i in range(16):
-        r |= ((x >> i) & 1) << (2 * i)
-    return r
-
-
-@functools.cache
 def _clmul8_table():
     """Carry-less products of all byte pairs, indexed by (a << 8) | b."""
     x = np.arange(1 << 16, dtype=np.int64)
@@ -580,9 +570,11 @@ class VecField:
 
     A context with log tables (at most TABLE_LIMIT elements) multiplies and
     inverts by log/exp lookups.  Larger ones, up to MAX_ORDER, take
-    carry-less byte-by-byte table products and reduce by folding the bits
-    from N up back in a byte at a time, since h -> (h << N) mod f is
-    F_2-linear.  Either operand of mul may be a plain int; inv maps 0 to 0.
+    carry-less byte-by-byte table products and fold the bits from N up back
+    in through the F_2-linear map h -> (h << N) mod f.  Every F_2-linear map
+    (that fold, the Frobenius powers, the trace T) is applied through byte
+    tables (see linear).  Either operand of mul may be a plain int; inv maps
+    0 to 0.
     """
 
     def __init__(self, ctx):
@@ -590,55 +582,68 @@ class VecField:
             raise ValueError(f"the vector kernel needs characteristic 2, not GF({ctx.order})")
         self.ctx = ctx
         self.N = ctx.e
+        self._maps = {}
         self._exp = self._log = None
         if ctx._log is not None:
             self._exp = np.array(ctx._exp, dtype=np.int64)
             # log of 0 is never used: every lookup masks zero operands
             self._log = np.array([max(v, 0) for v in ctx._log], dtype=np.int64)
             return
-        self._spread = _spread_table()
         self._clmul = _clmul8_table()
-        self._nbytes = (self.N + 7) // 8
-        self._fold = [self._reduce_bits(np.arange(256, dtype=np.int64) << (self.N + 8 * k),
-                                        self.N + 8 * k + 7)
-                      for k in range(self._nbytes)]
+        self._fold = self.linear("fold", lambda h: ctx._reduce2(h << self.N))
 
-    def _reduce_bits(self, r, top):
-        for i in range(top, self.N - 1, -1):
-            r = r ^ (((r >> i) & 1) * (self.ctx._mask << (i - self.N)))
-        return r
+    def linear(self, key, image):
+        """The F_2-linear map x -> image(x) on arrays, cached under key.
+
+        image is the map on one packed int; its values on the basis fill one
+        256-entry table per input byte, so the map costs a lookup per byte.
+        """
+        tables = self._maps.get(key)
+        if tables is None:
+            byte = np.arange(256, dtype=np.int64)
+            tables = []
+            for j in range(0, self.N, 8):
+                t = np.zeros(256, dtype=np.int64)
+                for i in range(min(8, self.N - j)):
+                    t ^= ((byte >> i) & 1) * image(1 << (j + i))
+                tables.append(t)
+            self._maps[key] = tables
+
+        def apply(a):
+            r = tables[0][a & 0xFF]
+            for j in range(1, len(tables)):
+                r = r ^ tables[j][(a >> (8 * j)) & 0xFF]
+            return r
+        return apply
 
     def reduce(self, r):
-        h = r >> self.N
-        r = r & ((1 << self.N) - 1)
-        for k, fold in enumerate(self._fold):
-            r = r ^ fold[(h >> (8 * k)) & 0xFF]
-        return r
+        return (r & ((1 << self.N) - 1)) ^ self._fold(r >> self.N)
 
     def mul(self, a, b):
         if self._log is not None:
             ok = (a != 0) & (b != 0)
             return np.where(ok, self._exp[self._log[a] + self._log[b]], 0)
-        bb = [(b >> (8 * j)) & 0xFF for j in range(self._nbytes)]
+        nbytes = (self.N + 7) // 8
+        bb = [(b >> (8 * j)) & 0xFF for j in range(nbytes)]
         r = 0
-        for i in range(self._nbytes):
+        for i in range(nbytes):
             hi = ((a >> (8 * i)) & 0xFF) << 8
             for j, bj in enumerate(bb):
                 r = r ^ (self._clmul[hi | bj] << (8 * (i + j)))
         return self.reduce(r)
 
     def sq(self, a):
-        if self._log is not None:
-            return self.mul(a, a)
-        s = self._spread
-        r = s[a & 0xFFFF] | (s[a >> 16] << 32)
-        return self.reduce(r)
+        return self.pow2(a, 1)
 
     def pow2(self, a, k):
-        """a^(2^k), the k-th power of the Frobenius."""
-        for _ in range(k):
-            a = self.sq(a)
-        return a
+        """a^(2^k) for any k >= 0: x -> x^(2^k) is F_2-linear, so it is one
+        byte-table lookup per input byte (see linear) instead of k squarings,
+        with tables built on first use per k mod N (the Frobenius has order N).
+        """
+        k %= self.N
+        if k == 0:
+            return a
+        return self.linear(k, lambda x: self.ctx.pow_(x, 1 << k))(a)
 
     def pow_(self, a, k):
         if k < 1:
@@ -651,30 +656,39 @@ class VecField:
                 r = self.mul(r, a)
         return r
 
+    def _geometric(self, a, d, r):
+        """a^(1 + 2^d + ... + 2^(d(r-1))) by the Itoh-Tsujii chain: with P_k
+        the product of the first k terms, P_2k = P_k * P_k^(2^(dk)) and
+        P_(k+1) = P_k^(2^d) * a, about 2 log2(r) products and maps."""
+        k = 1
+        t = a
+        for bit in bin(r)[3:]:
+            t = self.mul(self.pow2(t, d * k), t)
+            k *= 2
+            if bit == "1":
+                t = self.mul(self.pow2(t, d), a)
+                k += 1
+        if k != r:
+            raise ArithmeticError(f"Itoh-Tsujii chain reached {k} terms, not {r}")
+        return t
+
+    def norm(self, a, d):
+        """a^((2^N - 1) / (2^d - 1)), the norm to the subfield GF(2^d)."""
+        if d < 1 or self.N % d:
+            raise ValueError(f"GF(2^{d}) is not a subfield of GF(2^{self.N})")
+        return self._geometric(a, d, self.N // d)
+
     def inv(self, a):
         if self._log is not None:
             n = self.ctx.order - 1
             return np.where(a != 0, self._exp[n - self._log[a]], 0)
-        # a^(2^N - 2) by the square-chain on exponents 2^k - 1
-        k = 1
-        t = a
-        for bit in bin(self.N - 1)[3:]:
-            t = self.mul(self.pow2(t, k), t)
-            k *= 2
-            if bit == "1":
-                t = self.mul(self.sq(t), a)
-                k += 1
-        assert k == self.N - 1
-        return self.sq(t)
+        # a^(2^N - 2) = (a^(1 + 2 + ... + 2^(N-2)))^2
+        return self.sq(self._geometric(a, 1, self.N - 1))
 
     def trace_T(self, a, e):
-        """a + a^2 + ... + a^(2^(e-1))."""
-        acc = a
-        cur = a
-        for _ in range(e - 1):
-            cur = self.sq(cur)
-            acc = acc ^ cur
-        return acc
+        """a + a^2 + ... + a^(2^(e-1)), one linear map."""
+        return self.linear(("T", e), lambda x: functools.reduce(
+            int.__xor__, (self.ctx.pow_(x, 1 << i) for i in range(e))))(a)
 
 
 def arith(kind, a, b=None):

@@ -112,6 +112,20 @@ def test_gen_guards(capsys):
     assert rep["checks"][-1]["data"]["guard"].startswith("field-descriptor")
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["gen", "--family", "power", "--field", "p=2,e=2"], "d"),
+    (["gen", "--family", "dickson", "--d", "5", "--field", "p=2,e=2"], "alpha"),
+    (["gen", "--family", "char2-additive-twist", "--q", "8",
+      "--alpha-index", "1", "--field", "p=2,e=1"], "n"),
+    (["check-perm", "--family", "power", "--field", "p=2,e=2", "--extensions", "1"], "d"),
+])
+def test_family_without_its_parameters_is_a_build_guard(capsys, argv, missing):
+    code, rep, _ = run_json(capsys, argv)
+    assert code == 3
+    assert rep["checks"][-1]["data"]["guard"].startswith("family-build")
+    assert rep["checks"][-1]["data"]["guard"].endswith("needs " + missing)
+
+
 # ---------------------------------------------------------------------------
 # check-perm
 
@@ -151,6 +165,14 @@ def test_check_perm_guards(capsys):
     ])
     assert code == 3
     assert rep["checks"][-1]["data"]["guard"].startswith("extension-list")
+
+    # a bad family parameter is named as such, not as a size problem
+    code, rep, _ = run_json(capsys, [
+        "check-perm", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
+        "--alpha-index", "1", "--field", "p=2,e=1", "--extensions", "1",
+    ])
+    assert code == 3
+    assert rep["checks"][-1]["data"]["guard"] == "family-build: n must divide q+1"
 
 
 # ---------------------------------------------------------------------------

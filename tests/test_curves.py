@@ -1,6 +1,12 @@
 """Curve models, algebraic identity certificates, point counting, and the
 L-polynomial pipeline."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +224,117 @@ def test_count_fiber_pool_matches_one_process(monkeypatch):
     assert pools == [2]
 
 
+# "q,a,c" -> [count over GF(2^(a m)) for m = 1, 2, ... while a m <= 16], for
+# q in {4, 8, 16, 32}, ambient GF(2^a) with a = 2..8 and one c per Frobenius
+# orbit of GF(2^a) minus F_2 (its least packed index), recorded with the fiber
+# counter that took every u and ran the full power test s^((Q-1)/n)
+with open(os.path.join(os.path.dirname(__file__), "data", "plane_counts.json")) as _fh:
+    PLANE_COUNTS = {tuple(map(int, k.split(","))): v for k, v in json.load(_fh).items()}
+
+
+def _plane(q, a, c):
+    return plane_model(q, FieldElem(make_field(2, a), c))
+
+
+def test_fiber_counts_match_the_golden_table():
+    assert len(PLANE_COUNTS) == 308
+    for (q, a, c), counts in PLANE_COUNTS.items():
+        model = _plane(q, a, c)
+        got = [count_points(model, m) for m in range(1, len(counts) + 1)]
+        assert got == counts, (q, a, c)
+
+
+def test_references_agree_with_the_golden_table():
+    small = [(q, a, c, m) for (q, a, c), counts in PLANE_COUNTS.items()
+             for m in range(1, len(counts) + 1) if a * m <= 12]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(small))
+    def check(entry):
+        q, a, c, m = entry
+        want = PLANE_COUNTS[q, a, c][m - 1]
+        model = _plane(q, a, c)
+        assert count_points(model, m, strategy="brute") == want
+        # per-z costs about q Q log Q; past 2^14 one count takes seconds
+        if q << (a * m) <= 1 << 14:
+            assert count_points(model, m, strategy="per-z") == want
+
+    check()
+
+
+def _least_subfield(e, n):
+    return next(d for d in range(1, e + 1) if e % d == 0 and (2**d - 1) % n == 0)
+
+
+@pytest.mark.parametrize("e", [12, 16, 20, 24])
+def test_norm_power_test_matches_pow(e):
+    # the counter's n-th-power test through the norm to the least GF(2^d)
+    # with n | 2^d - 1 (d < e here), and the plain test (d = e)
+    ctx = make_field(2, e)
+    vf = ctx.vec
+    Q = ctx.order
+    ns = sorted({math.gcd(q + 1, Q - 1) for q in (4, 8, 16, 32)})
+    cases = [(d, n) for n in ns for d in (_least_subfield(e, n), e)]
+    assert any(d < e for d, _ in cases)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(min_value=1, max_value=Q - 1), min_size=1, max_size=64))
+    def check(xs):
+        s = np.array(xs, dtype=np.int64)
+        for d, n in cases:
+            norm = vf.norm(s, d)
+            assert norm.tolist() == vf.pow_(s, (Q - 1) // (2**d - 1)).tolist()
+            via_norm = vf.pow_(norm, (2**d - 1) // n) == 1
+            assert via_norm.tolist() == (vf.pow_(s, (Q - 1) // n) == 1).tolist()
+
+    check()
+
+
+def test_counter_self_checks_raise(monkeypatch):
+    model = plane_model(4, FieldElem(G16, 2))
+    vf = make_field(2, 8).vec
+    # the norm degree must carry the n-th roots of unity: 5 does not divide 2^2 - 1
+    with pytest.raises(ArithmeticError):
+        curves._count_plane_fiber_range(vf, curves._quadratic_maps(vf), 4, 2, 2, 5, 4, 2, 1, 256)
+    # orbit weights that miss a value of u
+    real = curves._count_plane_fiber_range
+
+    def short(*args):
+        total, weight = real(*args)
+        return total, weight - 1
+    monkeypatch.setattr(curves, "_count_plane_fiber_range", short)
+    with pytest.raises(ArithmeticError, match="orbit weights"):
+        count_points(model, 2)
+
+
+WRONG_ROOT = """
+from excpoly import FieldElem, count_points, curves, make_field, plane_model
+real = curves._quadratic_maps
+def wrong(vf):
+    root, residual = real(vf)
+    # x + 2 misses s^2 + s = d; x + 1 would be the other root
+    return (lambda d: root(d) ^ 2), residual
+curves._quadratic_maps = wrong
+try:
+    count_points(plane_model(4, FieldElem(make_field(2, 4), 2)), %d)
+except ArithmeticError as err:
+    assert "wrong root" in str(err)
+else:
+    raise SystemExit("a wrong root was counted")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wrong_solver_root_raises(flags):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curves.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    for m in (1, 5):                          # log tables, then byte tables
+        done = subprocess.run([sys.executable, *flags, "-c", WRONG_ROOT % m], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+
 @pytest.mark.parametrize("e", [3, 4, 8, 9, 12, 16, 17, 24, 26])
 def test_vector_field_kernels_match_scalar_arithmetic(e):
     # log/exp lookups up to 2^16, byte-table products and folds above, against
@@ -235,7 +352,7 @@ def test_vector_field_kernels_match_scalar_arithmetic(e):
         assert vf.mul(va, vb).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
         assert vf.mul(va, b[0]).tolist() == [ctx.mul(x, b[0]) for x in a]
         assert vf.sq(va).tolist() == [ctx.mul(x, x) for x in a]
-        k = b[0] % (e + 1)
+        k = b[0] % (2 * e + 1)
         assert vf.pow2(va, k).tolist() == [ctx.pow_(x, 1 << k) for x in a]
         assert vf.inv(va).tolist() == [ctx.inv(x) if x else 0 for x in a]
 
@@ -259,6 +376,8 @@ def test_count_points_guards_and_errors():
         count_points(model, 4, strategy="brute")  # 2^16 pairs over the dense guard
     with pytest.raises(ValueError):
         count_points(model, 1, strategy="magic")
+    with pytest.raises(ValueError, match="plane model"):
+        count_points(artin_schreier_model(8, FieldElem(G4, 2), FieldElem(G2, 1)), 1)
 
 
 # ---------------------------------------------------------------------------

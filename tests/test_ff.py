@@ -368,6 +368,8 @@ cases = [
     lambda: trace_poly(12),
     lambda: trace_poly(4, make_field(3, 1)),
     lambda: FamilySpec(kind="wibble"),
+    lambda: FamilySpec(kind="power").build(),
+    lambda: FamilySpec(kind="power", d=3).build(),
     lambda: family_iv(8, 4, one),
     lambda: f_closed(2, one),
     lambda: dickson(0, one),
@@ -387,7 +389,15 @@ for i, case in enumerate(cases):
 for argv, guard in (
         (["gen", "--family", "wibble", "--field", "p=2,e=2"], "family-kind"),
         (["gen", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
-          "--alpha-index", "1", "--field", "p=2,e=1"], "family-build")):
+          "--alpha-index", "1", "--field", "p=2,e=1"], "family-build"),
+        (["gen", "--family", "power", "--field", "p=2,e=2"], "family-build"),
+        (["gen", "--family", "dickson", "--d", "5", "--field", "p=2,e=2"], "family-build"),
+        (["gen", "--family", "char2-additive-twist", "--q", "8", "--alpha-index", "1",
+          "--field", "p=2,e=1"], "family-build"),
+        (["check-perm", "--family", "power", "--field", "p=2,e=2", "--extensions", "1"],
+         "family-build"),
+        (["check-perm", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
+          "--alpha-index", "1", "--field", "p=2,e=1", "--extensions", "1"], "family-build")):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.run(argv)
     got = json.loads(out.getvalue())["checks"][-1]["data"].get("guard", "")
