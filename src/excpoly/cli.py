@@ -12,9 +12,11 @@ except for the seconds fields.  Exit code 0 means every pass-type check
 passed; 2 is a usage error; 3 is a named guard violation.
 
 Expensive payloads (zeta data, shape distributions) live in a
-content-addressed cache keyed by a canonical serialization of the run
-configuration minus the output path, each entry checksummed; a corrupt
-entry is recomputed and overwritten with a warning.  The cache
+content-addressed cache keyed by a canonical serialization of the run's
+mathematical parameters and the package version (not the output paths,
+--cache-dir or --threads), each entry checksummed and replayed through
+the library's validation on a hit; a corrupt entry is recomputed and
+overwritten with a warning.  The cache
 directory is --cache-dir, else $EXCPOLY_CACHE, else ~/.cache/excpoly.
 """
 
@@ -103,7 +105,10 @@ def _config_dict(args):
 
 
 def _cache_key(cfg):
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Key for a run config: its math parameters plus the package version."""
+    math_cfg = {k: v for k, v in cfg.items() if k not in ("cache_dir", "threads")}
+    math_cfg["version"] = __version__
+    blob = json.dumps(math_cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -262,11 +267,15 @@ def _check_perm(args, runner):
 
     def scan():
         try:
+            verdict = exceptionality_verdict(spec, base)
+        except ValueError as err:
+            raise Guard("family-verdict: %s" % (err,))
+        try:
             box["rep"] = tower_scan(spec, base, degrees, threads=args.threads)
         except ValueError as err:
             raise Guard("size-guard: %s" % (err,))
         data = box["rep"].to_json()
-        data["exceptional_verdict"] = exceptionality_verdict(spec, base)
+        data["exceptional_verdict"] = verdict
         box["data"] = data
         return True, data
 
@@ -291,6 +300,16 @@ def _check_identities(args, runner):
     _identity_checks(runner, args.q, args.seed, args.samples)
 
 
+def _decode_zeta(payload, model, c):
+    """The payload, once its counts replay through zeta to the stored body."""
+    body = json.loads(payload)
+    replay = zeta(model, 6, counts=body["counts"]).to_json()
+    replay["c"] = {"field_e": 4, "index": c.i}
+    if replay != body:
+        raise ValueError("entry disagrees with the zeta data its counts replay to")
+    return payload
+
+
 def _zeta(args, runner):
     if args.q != 4:
         raise Guard("zeta-q-range: zeta runs are supported for q = 4 only")
@@ -300,12 +319,12 @@ def _zeta(args, runner):
 
     def check():
         # the lookup and the compute run inside the timed check
-        payload = cache_get(cdir, key)
+        try:
+            model = plane_model(4, c)
+        except ValueError as err:
+            raise Guard("smooth-model: %s" % (err,))
+        payload = cache_get(cdir, key, decode=lambda text: _decode_zeta(text, model, c))
         if payload is None:
-            try:
-                model = plane_model(4, c)
-            except ValueError as err:
-                raise Guard("smooth-model: %s" % (err,))
             body = zeta(model, 6, threads=args.threads).to_json()
             body["c"] = {"field_e": 4, "index": c.i}
             payload = json.dumps(body, sort_keys=True, indent=2)

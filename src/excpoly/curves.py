@@ -13,9 +13,10 @@ linking them, verifies the Borel and full SL2(q) automorphism actions as exact
 identities in a small function-field engine, counts points over extensions (one
 production counter over the product fibration, with per-z root counting and
 brute-force pair enumeration as independent references on small fields),
-assembles L-polynomials with functional-equation and root-radius validation,
-and mechanizes the Weil-bound contradiction arithmetic used to rule out small
-genus alternatives.
+assembles L-polynomials with functional-equation and exact root-radius
+validation (a Sturm count on small polynomials over Q, kept as lists of
+Fractions), and mechanizes the Weil-bound contradiction arithmetic used to
+rule out small genus alternatives.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .ff import VEC_CHUNK, FieldCtx, FieldElem, embed, field_from_json, lift, log_p, make_field
 from .poly import BiPoly, UniPoly
@@ -932,6 +932,58 @@ def count_points(model, m, strategy="fiber", threads=1):
 
 
 # ---------------------------------------------------------------------------
+# polynomials over Q: lists of Fractions, low degree first, no trailing zeros
+
+def _q_divmod(a, b):
+    """Quotient and remainder of a by a nonzero b."""
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        c = a[-1] / b[-1]
+        q[k] = c
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _q_deriv(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _q_squarefree(a):
+    """a divided by its monic gcd with a': the same roots, each simple."""
+    u, v = a, _q_deriv(a)
+    while v:
+        u, v = v, _q_divmod(u, v)[1]
+    return _q_divmod(a, [c / u[-1] for c in u])[0]
+
+
+def _sturm_count(f, lo, hi):
+    """Distinct real roots in (lo, hi] of a square-free f, lo < hi."""
+    chain = [f]
+    nxt = _q_deriv(f)
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in _q_divmod(chain[-2], chain[-1])[1]]
+
+    def changes(x):
+        signs = []
+        for p in chain:
+            v = Fraction(0)
+            for c in reversed(p):
+                v = v * x + c
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+# ---------------------------------------------------------------------------
 # zeta data
 
 @dataclass(frozen=True)
@@ -961,7 +1013,7 @@ def zeta(model, g, threads=1, counts=None):
     The reciprocal-root power sums are S_m = base^m + 1 - N_m; Newton's
     identities give a_1..a_g, the functional equation a_{2g-i} = base^{g-i} a_i
     completes the polynomial, and the result is checked for integrality, exact
-    count reproduction, root radii |root| = base^(-1/2) to 1e-6, and L(1) > 0.
+    count reproduction, root radii |root| = base^(-1/2) exactly, and L(1) > 0.
     Raises when the counts admit no valid L-polynomial.  Passing counts skips
     the enumeration and validates the supplied values instead (replay path for
     cached runs).
@@ -992,7 +1044,7 @@ def zeta(model, g, threads=1, counts=None):
         Sb.append(s)
         if s != S[mdeg - 1]:
             raise ValueError(f"count N_{mdeg} is not reproduced by the L-polynomial")
-    if _weil_radius_deviation(L, base) > 1e-6:
+    if not _weil_radius_certified(L, base):
         raise ValueError("reciprocal roots stray from absolute value sqrt(base)")
     if sum(L) <= 0:
         raise ValueError("L(1) must be positive")
@@ -1017,10 +1069,8 @@ def _weil_radius_deviation(L, base):
     by passing to the square-free part, whose simple roots Newton then polishes
     to well beyond the 1e-6 certification level.
     """
-    t = sympy.symbols("_t")
-    P = sympy.Poly(list(reversed([int(c) for c in L])), t, domain="QQ")
-    red = P.quo(P.gcd(P.diff(t)))
-    hi_first = [float(c) for c in red.all_coeffs()]
+    red = _q_squarefree([Fraction(int(c)) for c in L])
+    hi_first = [float(c) for c in reversed(red)]
     z = np.roots(np.array(hi_first, dtype=float)).astype(np.clongdouble)
     p = np.array(hi_first, dtype=np.clongdouble)
     dp = np.polyder(p)
@@ -1032,6 +1082,41 @@ def _weil_radius_deviation(L, base):
     return float(np.max(np.abs(np.abs(z) * np.sqrt(np.clongdouble(base)) - 1)))
 
 
+def _weil_radius_certified(L, base):
+    """Whether every reciprocal root of L has absolute value sqrt(base), exactly.
+
+    L = 1 + ... + L_2g T^(2g) must satisfy T^(2g) L(1/T) = T^g H(T + base/T)
+    for an integer polynomial H of degree g; a ValueError says it does not.
+    The reciprocal roots pair up as alpha, base/alpha over the roots
+    x = alpha + base/alpha of H, and |alpha| = sqrt(base) exactly when x is
+    real with x^2 <= 4 base.  So the radii are right exactly when all g roots
+    of G(y) = H(x) H(-x), y = x^2, lie in [0, 4 base] counted with
+    multiplicity, that is, when every root of the square-free part of G
+    does; a Sturm chain over the rationals counts those in the interval.
+    """
+    L = [int(c) for c in L]
+    g = len(L) // 2
+    # the form holds exactly when the functional equation does: both sides
+    # are then Laurent polynomials in T fixed by T -> base/T
+    if len(L) % 2 == 0 or L[0] != 1 or any(
+            L[2 * g - i] != base**(g - i) * L[i] for i in range(g)):
+        raise ValueError("L is not 1 + ... with T^(2g) L(1/T) = T^g H(T + base/T)")
+    # peel the top half of T^(2g) L(1/T) / T^g by powers of (T + base/T)
+    c = [L[g - k] for k in range(g + 1)]
+    h = [0] * (g + 1)
+    for k in range(g, -1, -1):
+        h[k] = c[k]
+        for j in range(1, k // 2 + 1):
+            c[k - 2 * j] -= h[k] * math.comb(k, j) * base**j
+    hx = [0] * (2 * g + 1)
+    for i in range(g + 1):
+        for j in range(g + 1):
+            hx[i + j] += h[i] * (-1) ** j * h[j]
+    sf = _q_squarefree([Fraction(x) for x in hx[::2]])
+    inside = _sturm_count(sf, 0, 4 * base) + (sf[0] == 0)
+    return inside == len(sf) - 1
+
+
 # ---------------------------------------------------------------------------
 # Weil-bound arithmetic
 
@@ -1041,7 +1126,9 @@ def weil_check(g, s, claimed):
     The comparison squares both sides: the claim violates the bound precisely
     when claimed > s + 1 and (claimed - s - 1)^2 > 4 g^2 s.
     """
-    assert g >= 0 and s >= 2 and claimed >= 0
+    if not (g >= 0 and s >= 2 and claimed >= 0):
+        raise ValueError(f"weil_check needs g >= 0, s >= 2 and claimed >= 0, "
+                         f"got {g}, {s}, {claimed}")
     excess = claimed - s - 1
     violates = excess > 0 and excess * excess > 4 * g * g * s
     return {

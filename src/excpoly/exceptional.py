@@ -24,10 +24,10 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .families import FamilySpec, _require
-from .ff import VEC_CHUNK, FieldCtx, FieldElem, field_from_json, lift, log_p, make_field
+from .ff import (VEC_CHUNK, FieldCtx, FieldElem, field_from_json, is_prime, lift, log_p,
+                 make_field, prime_factors)
 
 #: Default cap on the size of any single exhaustively enumerated field.
 SIZE_GUARD = 1 << 26
@@ -126,11 +126,12 @@ def _mult_order(ctx, a, bound):
     """Multiplicative order of the unit with packed index a.
 
     `bound` must be a multiple of the order (here always a divisor of the
-    unit group order).
+    unit group order); an ArithmeticError says it is not.
     """
-    assert a != 0 and ctx.pow_(a, bound) == 1
+    if a == 0 or ctx.pow_(a, bound) != 1:
+        raise ArithmeticError(f"{bound} is not a multiple of the order of {a}")
     t = bound
-    for ell in sorted(sympy.factorint(bound)):
+    for ell in prime_factors(bound):
         while t % ell == 0 and ctx.pow_(a, t // ell) == 1:
             t //= ell
     return t
@@ -138,7 +139,7 @@ def _mult_order(ctx, a, bound):
 
 def _verdict_power(spec, base):
     d = spec.d
-    _require(d is not None and sympy.isprime(d), "power family needs a prime degree")
+    _require(d is not None and is_prime(d), "power family needs a prime degree")
     _require(d != base.p, "degree must differ from the characteristic")
     # X^d is bijective on k exactly when 1 is the only d-th root of unity
     # in k; the d-th roots of unity in a cyclic group of order s-1 number
@@ -149,7 +150,7 @@ def _verdict_power(spec, base):
 def _verdict_dickson(spec, base):
     d = spec.d
     p = base.p
-    _require(d is not None and sympy.isprime(d), "dickson family needs a prime degree")
+    _require(d is not None and is_prime(d), "dickson family needs a prime degree")
     _require(d != p, "degree must differ from the characteristic")
     _require(spec.alpha is not None and spec.alpha.i != 0, "dickson family needs a unit alpha")
     s = base.order

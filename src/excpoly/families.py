@@ -39,6 +39,11 @@ FAMILY_KINDS = {
 }
 
 
+#: Largest degree d a power or Dickson member may have; the coefficient list
+#: is dense, so a larger d would only exhaust memory.
+MAX_DEGREE = 1 << 16
+
+
 class NotInFamily(Exception):
     """canonicalize could not express the input inside the family."""
 
@@ -224,6 +229,9 @@ class FamilySpec:
     def build(self):
         missing = [name for name in FAMILY_KINDS[self.kind] if getattr(self, name) is None]
         _require(not missing, f"{self.kind} needs {', '.join(missing)}")
+        if self.kind in ("power", "dickson"):
+            _require(1 <= self.d <= MAX_DEGREE,
+                     f"{self.kind} degree d = {self.d} lies outside 1..2^16 = {MAX_DEGREE}")
         if self.kind == "power":
             return UniPoly.monomial(self.base_field(), self.d)
         if self.kind == "dickson":

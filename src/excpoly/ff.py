@@ -9,6 +9,11 @@ characteristic-2 fields, and uses digit schoolbook arithmetic otherwise.
 VecField is the one numpy kernel for GF(2^e), built once per context as
 ctx.vec: log/exp lookups where the context has tables, carry-less byte
 tables above 2^16.  Counts, shape engine, orbits and scans all run on it.
+
+The integer helpers prime_factors and is_prime serve the modulus checks
+here and the verdicts in excpoly.exceptional with the standard library
+alone: trial division on 1 <= n <= MAX_ORDER, and Miller-Rabin on the
+first 13 prime bases, a proof of primality below 3.3 * 10^24.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import sympy
 
 __all__ = [
     "FieldCtx",
@@ -30,6 +34,8 @@ __all__ = [
     "log_p",
     "arith",
     "field_from_json",
+    "prime_factors",
+    "is_prime",
 ]
 
 TABLE_LIMIT = 1 << 16
@@ -50,6 +56,72 @@ CONWAY = {
     (3, 1): (1, 1),
     (3, 2): (2, 2, 1),
 }
+
+
+# ---------------------------------------------------------------------------
+# integer helpers
+
+def prime_factors(n):
+    """Sorted distinct primes dividing n, for 1 <= n <= MAX_ORDER.
+
+    Trial division: with n at most 2^26 the divisors tried stay below 8192.
+    """
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"prime_factors covers 1 <= n <= 2^26, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+# Miller-Rabin on these bases decides primality for every n below the bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether the integer n is prime, by deterministic Miller-Rabin.
+
+    A ValueError names n at or above 3317044064679887385961981 (about
+    3.3 * 10^24), where the 13 fixed bases stop being a proof.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is certified below 3.3 * 10^24, got {n}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _size_guard(p, e):
+    """A ValueError when GF(p^e), p > 1, has more than MAX_ORDER elements;
+    p^e is formed only once p and e are known to be small."""
+    if p > 1 and (p > MAX_ORDER or e > 26 or p**e > MAX_ORDER):
+        raise ValueError(f"GF({p}^{e}) exceeds the size guard 2^26")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +280,7 @@ def _is_irreducible(f, pf):
     x = [0, 1]
     if _powmod(pf, x, pf.order**e, f) != x:
         return False
-    for r in sympy.primefactors(e):
+    for r in prime_factors(e):
         h = _sub(pf, _powmod(pf, x, pf.order ** (e // r), f), x)
         if len(_gcd(pf, h, f)) != 1:
             return False
@@ -233,7 +305,7 @@ def _search_modulus(p, e):
     """First (by integer encoding) monic primitive irreducible of degree e >= 2."""
     pf = make_field(p, 1)
     n = p**e - 1
-    unit_factors = sorted(sympy.factorint(n))
+    unit_factors = prime_factors(n)
     for c in range(p**e):
         f = _digits(c, p, e) + [1]
         if any(_eval(pf, f, a) == 0 for a in range(p)):
@@ -254,13 +326,12 @@ class FieldCtx:
     """
 
     def __init__(self, p, e, modulus):
-        if not sympy.isprime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError(f"e = {e} must be positive")
+        _size_guard(p, e)
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         order = p**e
-        if order > MAX_ORDER:
-            raise ValueError(f"GF({p}^{e}) exceeds the size guard 2^26")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != e + 1 or modulus[e] != 1:
             raise ValueError("modulus must be monic of degree e")
@@ -269,7 +340,7 @@ class FieldCtx:
         self.order = order
         self.modulus = modulus
         n = order - 1
-        self._unit_factors = sorted(sympy.factorint(n)) if n > 1 else []
+        self._unit_factors = prime_factors(n)
         # the class of x generates the units; for e = 1 that class is -c0
         self.gen = (p - modulus[0]) % p if e == 1 else p
         if e == 1:
@@ -731,6 +802,7 @@ def make_field(p, e):
     key = (p, e)
     ctx = _FIELDS.get(key)
     if ctx is None:
+        _size_guard(p, e)
         modulus = CONWAY.get(key)
         if modulus is None:
             modulus = _search_modulus(p, e)

@@ -34,7 +34,7 @@ from excpoly import (
     tower_scan,
     zeta,
 )
-from excpoly.curves import _weil_radius_deviation
+from excpoly.curves import _weil_radius_certified, _weil_radius_deviation
 
 G2 = make_field(2, 1)
 G4 = make_field(2, 2)
@@ -143,6 +143,13 @@ C6_L = (
 )
 
 
+def test_weil_radius_on_frozen_l(zeta_c2):
+    # 0.0 is what the sympy-based square-free reduction measured on both
+    for L in (zeta_c2.L, C6_L):
+        assert _weil_radius_certified(L, 16)
+        assert _weil_radius_deviation(list(L), 16) <= 1e-12
+
+
 def test_criterion_05_zeta_grid(zeta_c2):
     """Squaring (y, z) -> (y^2, z^2) carries the c-curve bijectively onto
     the c^2-curve over every extension, so point counts are constant on
@@ -167,6 +174,7 @@ def test_criterion_05_zeta_grid(zeta_c2):
             assert z.L[12 - i] == 16 ** (6 - i) * z.L[i]
         assert z.p_rank == 6
         assert _weil_radius_deviation(list(z.L), 16) <= 1e-6
+        assert _weil_radius_certified(z.L, 16)
     assert rep_data[6].counts == C6_COUNTS and rep_data[6].L == C6_L
 
     for orb in orbits:

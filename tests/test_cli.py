@@ -281,6 +281,57 @@ def test_zeta_served_from_seeded_cache(capsys, tmp_path, zeta_c2):
     assert saved["L"] == list(zeta_c2.L)
 
 
+def test_zeta_cache_replays_counts(capsys, tmp_path, monkeypatch, zeta_c2):
+    """A checksum-valid entry with one count changed is corrupt: the replay
+    through zeta refutes it, and the recompute writes the right entry."""
+    cdir = tmp_path / "zc"
+    argv = ["zeta", "--q", "4", "--c-index", "2", "--cache-dir", str(cdir)]
+    cfg = cli._config_dict(cli._build_parser().parse_args(argv))
+    body = zeta_c2.to_json()
+    body["c"] = {"field_e": 4, "index": 2}
+    good = json.dumps(body, sort_keys=True, indent=2)
+    cache_put(str(cdir), cli._cache_key(cfg), good)
+    code, rep, err = run_json(capsys, argv)
+    assert code == 0 and "served from cache" in err and "corrupt" not in err
+
+    (entry,) = cdir.glob("*.json")
+    blob = json.loads(entry.read_text())
+    bad = json.loads(blob["payload"])
+    bad["counts"][5] += 6
+    blob["payload"] = json.dumps(bad, sort_keys=True, indent=2)
+    blob["sha256"] = hashlib.sha256(blob["payload"].encode()).hexdigest()
+    entry.write_text(json.dumps(blob))
+
+    real_zeta = cli.zeta
+
+    def zeta_from_fixture(model, g, threads=1, counts=None):
+        # the full count is the session fixture's; replays run for real
+        return zeta_c2 if counts is None else real_zeta(model, g, counts=counts)
+
+    monkeypatch.setattr(cli, "zeta", zeta_from_fixture)
+    code2, rep2, err2 = run_json(capsys, argv)
+    assert code2 == 0 and "is corrupt" in err2 and "computed and cached" in err2
+    assert scrub_seconds(rep2) == scrub_seconds(rep)
+    assert json.loads(entry.read_text())["payload"] == good
+
+
+def test_cache_key_is_the_math_and_the_version(capsys, tmp_path, monkeypatch):
+    """--cache-dir and --threads leave the key alone; the version moves it."""
+    argv = ["chebotarev", "--q", "8", "--alpha-index", "2", "--field", "p=2,e=2", "--j", "2"]
+    names = []
+    for sub, threads in (("a", "1"), ("b", "2"), ("a", "2")):
+        code, _rep, _ = run_json(capsys, argv + ["--cache-dir", str(tmp_path / sub),
+                                                 "--threads", threads])
+        assert code == 0
+        names.append(sorted(p.name for p in (tmp_path / sub).iterdir()))
+    assert names[0] == names[1] == names[2] and len(names[0]) == 1
+    cfg = cli._config_dict(cli._build_parser().parse_args(argv))
+    key = cli._cache_key(cfg)
+    assert cli._cache_key(dict(cfg, cache_dir="elsewhere", threads=4)) == key
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    assert cli._cache_key(cfg) != key
+
+
 # ---------------------------------------------------------------------------
 # chebotarev
 

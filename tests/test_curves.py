@@ -6,9 +6,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from excpoly import (
     weil_contradiction_report,
     zeta,
 )
+from excpoly.curves import _q_squarefree, _weil_radius_certified, _weil_radius_deviation
 from excpoly.ff import VecField
 
 G2 = make_field(2, 1)
@@ -424,6 +427,59 @@ def test_zeta_json_round_trip(zeta_c2):
     obj = zeta_c2.to_json()
     assert set(obj) == {"g", "base", "counts", "L", "p_rank"}
     assert ZetaData.from_json(obj) == zeta_c2
+
+
+def _sympy_squarefree(L):
+    t = sympy.symbols("t")
+    P = sympy.Poly(list(reversed(L)), t, domain="QQ")
+    return list(reversed(P.quo(P.gcd(P.diff(t))).all_coeffs()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4), min_size=1, max_size=3),
+       st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_squarefree_part_matches_sympy(factors, powers):
+    L = [1]
+    for f, k in zip(factors, powers):
+        if f[-1] == 0:
+            f = f + [1]
+        for _ in range(k):
+            L = [sum(L[i] * f[n - i] for i in range(len(L)) if 0 <= n - i < len(f))
+                 for n in range(len(L) + len(f) - 1)]
+    assert _q_squarefree([Fraction(c) for c in L]) == _sympy_squarefree(L)
+
+
+def test_weil_radius_deviation_values():
+    # values of the sympy-based square-free reduction this one replaced
+    for L, base, want in ((C2_L, 16, 0.0), ((1, 2, 4, 32, 64), 16, 0.6102297961422501)):
+        assert _q_squarefree([Fraction(c) for c in L]) == _sympy_squarefree(list(L))
+        assert abs(_weil_radius_deviation(list(L), base) - want) <= 1e-12
+
+
+def test_weil_certificate_agrees_with_radii_on_genus_two():
+    """Every 1 + aT + cT^2 + abT^3 + b^2T^4 on a grid: the exact verdict is
+    the float one, whose deviations here are either tiny or far above 1e-6."""
+    for b in (2, 4, 16):
+        for a in range(-8, 9):
+            for c in range(-40, 41):
+                L = [1, a, c, a * b, b * b]
+                assert _weil_radius_certified(L, b) == (_weil_radius_deviation(L, b) <= 1e-6)
+
+
+def test_weil_certificate_rejects_mutants():
+    assert _weil_radius_certified(C2_L, 16)
+    # the middle coefficient is its own functional-equation partner: a
+    # change keeps the form and moves roots off the circle
+    for d in (1, -1, 1000):
+        off = list(C2_L)
+        off[6] += d
+        assert not _weil_radius_certified(off, 16)
+        assert _weil_radius_deviation(off, 16) > 1e-2
+    broken = list(C2_L)
+    broken[11] += 1
+    for bad in (broken, C2_L[:-1], (2,) + C2_L[1:]):
+        with pytest.raises(ValueError):
+            _weil_radius_certified(bad, 16)
 
 
 # ---------------------------------------------------------------------------

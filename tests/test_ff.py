@@ -6,12 +6,13 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excpoly
 from excpoly import FieldElem, UniPoly, arith, embed, field_from_json, make_field, rel_trace
-from excpoly.ff import FieldCtx, TABLE_LIMIT, lift, log_p
+from excpoly.ff import MAX_ORDER, FieldCtx, TABLE_LIMIT, is_prime, lift, log_p, prime_factors
 
 # every field here stays at or below 2^12 elements, so the per-element
 # sweeps are exhaustive
@@ -37,6 +38,12 @@ def test_make_field_rejects_bad_parameters():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 33)
+    # the size guard comes before the modulus search and the primality test
+    with pytest.raises(ValueError, match="size guard"):
+        make_field(2, 27)
+    for p in (2**89 - 1, 10**30 + 57):
+        with pytest.raises(ValueError, match="size guard"):
+            FieldCtx(p, 1, (0, 1))
 
 
 def test_field_json_round_trip():
@@ -356,15 +363,99 @@ def test_log_p():
             log_p(q, p)
 
 
+# ---------------------------------------------------------------------------
+# integer helpers, differential against sympy (a test dependency only)
+
+# Carmichael numbers, then the least strong pseudoprimes to the first 1..12
+# prime bases (OEIS A014233) that lie below is_prime's certified bound
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265, 321197185,
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+)
+
+
+def _unit_orders():
+    """p^e - 1 for every small prime p and every p^e under the size guard."""
+    for p in (2, 3, 5, 7, 11, 13):
+        q = p
+        while q <= MAX_ORDER:
+            yield q - 1
+            q *= p
+
+
+def test_integer_helpers_match_sympy_on_fixed_inputs():
+    for n in range(1, 5000):
+        assert prime_factors(n) == sorted(sympy.factorint(n)), n
+    for n in range(-3, 20000):
+        assert is_prime(n) == sympy.isprime(n), n
+    for n in _unit_orders():
+        if n >= 1:
+            assert prime_factors(n) == sorted(sympy.factorint(n)), n
+        for m in (n, n + 2):
+            assert is_prime(m) == sympy.isprime(m), m
+    for n in PSEUDOPRIMES:
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+    for k in (31, 61, 67, 79):  # Mersenne numbers, prime and composite
+        assert is_prime(2**k - 1) == sympy.isprime(2**k - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, MAX_ORDER))
+def test_prime_factors_matches_sympy(n):
+    assert prime_factors(n) == sorted(sympy.factorint(n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(-10, MAX_ORDER), st.integers(MAX_ORDER, 3 * 10**24)))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_integer_helpers_name_their_range():
+    for n in (0, -4, MAX_ORDER + 1):
+        with pytest.raises(ValueError):
+            prime_factors(n)
+    bound = 3317044064679887385961981  # strong pseudoprime to the 13 bases
+    assert is_prime(bound - 2) == sympy.isprime(bound - 2)
+    for n in (bound, bound + 1, 10**30 + 57):
+        with pytest.raises(ValueError, match="3.3"):
+            is_prime(n)
+
+
+def _subprocess_env():
+    """The environment for a child interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(excpoly.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_package_import_leaves_sympy_out():
+    code = ("import sys, excpoly, excpoly.cli, excpoly.curves, excpoly.monodromy, "
+            "excpoly.exceptional, excpoly.checks\n"
+            "if 'sympy' in sys.modules: raise SystemExit('sympy was imported')")
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_library_checks_raise_under_python_O():
     """The named errors must not depend on assert statements being live."""
     code = """
 import contextlib, io, json
 from excpoly import cli
-from excpoly.families import FamilySpec, dickson, f_closed, family_iv, trace_poly
-from excpoly.ff import FieldElem, VecField, embed, lift, log_p, make_field, rel_trace
+from excpoly.curves import weil_check
+from excpoly.exceptional import _mult_order
+from excpoly.families import MAX_DEGREE, FamilySpec, dickson, f_closed, family_iv, trace_poly
+from excpoly.ff import FieldCtx, FieldElem, VecField, embed, lift, log_p, make_field, rel_trace
 one = FieldElem(make_field(2, 2), 1)
 cases = [
+    lambda: FieldCtx(10**30 + 57, 1, (0, 1)),
+    lambda: weil_check(-1, 4, 3),
+    lambda: weil_check(2, 1, 3),
+    lambda: FamilySpec(kind="power", d=MAX_DEGREE + 1, field=make_field(2, 2)).build(),
+    lambda: FamilySpec(kind="dickson", d=MAX_DEGREE + 1, alpha=one).build(),
     lambda: trace_poly(12),
     lambda: trace_poly(4, make_field(3, 1)),
     lambda: FamilySpec(kind="wibble"),
@@ -386,6 +477,13 @@ for i, case in enumerate(cases):
     except ValueError:
         continue
     raise SystemExit("case %d raised no ValueError" % i)
+for i, case in enumerate([lambda: _mult_order(make_field(2, 2), 0, 3),
+                          lambda: _mult_order(make_field(2, 4), 2, 5)]):
+    try:
+        case()
+    except ArithmeticError:
+        continue
+    raise SystemExit("order case %d raised no ArithmeticError" % i)
 for argv, guard in (
         (["gen", "--family", "wibble", "--field", "p=2,e=2"], "family-kind"),
         (["gen", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
@@ -396,6 +494,17 @@ for argv, guard in (
           "--field", "p=2,e=1"], "family-build"),
         (["check-perm", "--family", "power", "--field", "p=2,e=2", "--extensions", "1"],
          "family-build"),
+        (["gen", "--family", "power", "--d", str(10**30 + 57), "--field", "p=2,e=2"],
+         "family-build"),
+        (["check-perm", "--family", "power", "--d", str(10**30 + 57), "--field", "p=2,e=2",
+          "--extensions", "1"], "family-build"),
+        (["check-perm", "--family", "dickson", "--d", str(MAX_DEGREE + 1),
+          "--alpha-index", "1", "--field", "p=2,e=2", "--extensions", "1"], "family-build"),
+        (["gen", "--family", "power", "--d", "0", "--field", "p=2,e=2"], "family-build"),
+        (["check-perm", "--family", "power", "--d", "4", "--field", "p=2,e=2",
+          "--extensions", "1"], "family-verdict"),
+        (["check-perm", "--family", "dickson", "--d", "5", "--alpha-index", "1",
+          "--field", "p=2,e=14", "--extensions", "1"], "family-verdict"),
         (["check-perm", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
           "--alpha-index", "1", "--field", "p=2,e=1", "--extensions", "1"], "family-build")):
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -404,10 +513,7 @@ for argv, guard in (
     if code != 3 or not got.startswith(guard):
         raise SystemExit("%s: exit %s, guard %r" % (argv[:3], code, got))
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(excpoly.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
 
