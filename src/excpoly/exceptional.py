@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FamilySpec, _require
-from .ff import (VEC_CHUNK, FieldCtx, FieldElem, field_from_json, is_prime, lift, log_p,
-                 make_field, prime_factors)
+from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, field_from_json, is_prime, lift,
+                 log_p, make_field, prime_factors)
 
 #: Default cap on the size of any single exhaustively enumerated field.
-SIZE_GUARD = 1 << 26
+SIZE_GUARD = MAX_ORDER
 
 #: Below this many elements a parallel scan costs more than it saves.
 _PARALLEL_FLOOR = 1 << 12
@@ -301,7 +301,9 @@ def tower_scan(spec, base, degrees, threads=1, guard=SIZE_GUARD):
     for j in degrees:
         j = int(j)
         _require(j >= 1, "extension degrees must be positive")
-        if base.p ** (base.e * j) > guard:
+        # p >= 2, so p^(e j) >= 2^(e j) exceeds the guard once e j reaches its
+        # bit length; only smaller powers are formed
+        if base.e * j >= guard.bit_length() or base.p ** (base.e * j) > guard:
             raise ValueError(f"extension degree {j} exceeds the size guard {guard}")
         ext = make_field(base.p, base.e * j)
         ok, wit = is_permutation(f, ext, threads=threads, guard=guard)

@@ -10,6 +10,19 @@ VecField is the one numpy kernel for GF(2^e), built once per context as
 ctx.vec: log/exp lookups where the context has tables, carry-less byte
 tables above 2^16.  Counts, shape engine, orbits and scans all run on it.
 
+The raw polynomial kernels on coefficient lists live here too, shared by
+poly and the modulus checks.  Modular powers (_powmod) take each p-th
+power as a semilinear map: (sum a_i X^i)^p = sum a_i^p X^(p*i) in
+characteristic p, so with the rows X^(p*i) mod g tabled once (_frob_rows),
+a^p mod g (_frobmod) is a coefficient power per term plus a sum of rows,
+about m^2 / 2 products for p = 2 and m = deg g instead of the 2 m^2 of a
+square and its reduction.  Binary square-and-multiply is the reference
+for it in tests/test_frobenius.py.
+
+Checks raise named errors, never assert: ValueError for bad arguments
+(mixed fields, wrong embedding domains), ArithmeticError for a broken
+internal invariant.
+
 The integer helpers prime_factors and is_prime serve the modulus checks
 here and the verdicts in excpoly.exceptional with the standard library
 alone: trial division on 1 <= n <= MAX_ORDER, and Miller-Rabin on the
@@ -205,15 +218,88 @@ def _gcd(ctx, a, b):
     return _monic(ctx, a)
 
 
-def _powmod(ctx, a, n, f):
-    r = [1]
+def _frob_rows(ctx, g):
+    """rows[i] = X^(p*i) mod g for i < deg g, the table behind _frobmod.
+
+    Built on the monic associate of g, which leaves every remainder
+    unchanged; row i + 1 is row i times X^p: p shifts, each folding the
+    overflow back by one multiple of g.
+    """
+    g = _monic(ctx, _norm(list(g)))
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    m = len(g) - 1
+    cmul, csub = ctx.mul, ctx.sub
+    rows = []
+    cur = [1] + [0] * (m - 1)
+    for _ in range(m):
+        rows.append(_norm(list(cur)))
+        for _ in range(ctx.p):
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
+            if lead:
+                for j in range(m):
+                    cur[j] = csub(cur[j], cmul(lead, g[j]))
+    return rows
+
+
+def _frobmod(ctx, a, rows):
+    """a^p mod g for a reduced mod g, with rows = _frob_rows(ctx, g).
+
+    In characteristic p, (sum a_i X^i)^p = sum a_i^p X^(p*i), so the p-th
+    power is semilinear: raise each coefficient, then add the rows.  The
+    rows with p*i < m are unit vectors, so those coefficients are placed
+    directly (they come first, before any row is added in).
+    """
+    m = len(rows)
+    p = ctx.p
+    frob, cmul, cadd = ctx.frob, ctx.mul, ctx.add
+    out = [0] * m
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        c = frob(c)
+        if p * i < m:
+            out[p * i] = c
+            continue
+        for j, rj in enumerate(rows[i]):
+            if rj:
+                out[j] = cadd(out[j], cmul(c, rj))
+    return _norm(out)
+
+
+def _powmod(ctx, a, n, f, rows=None):
+    """a^n mod f, by the base-p digits of n from the top.
+
+    Each digit costs one _frobmod step (about m^2 / 2 products for p = 2,
+    against 2 m^2 for a square and its reduction) plus one modular product
+    by a^digit when the digit is nonzero.  rows, when given, must be
+    _frob_rows(ctx, f); callers that reduce many powers modulo one f pass it.
+    n = 0 gives [1] for every nonzero f.
+    """
     a = _mod(ctx, a, f)
+    if n < 0:
+        raise ValueError(f"exponent {n} must be non-negative")
+    if n == 0:
+        return [1]
+    if not a:
+        return []
+    if rows is None:
+        rows = _frob_rows(ctx, f)
+    p = ctx.p
+    digits = []
     while n:
-        if n & 1:
-            r = _mod(ctx, _mul(ctx, r, a), f)
-        n >>= 1
-        if n:
-            a = _mod(ctx, _mul(ctx, a, a), f)
+        n, d = divmod(n, p)
+        digits.append(d)
+    pw = [[1], a]
+    for _ in range(2, p):
+        pw.append(_mod(ctx, _mul(ctx, pw[-1], a), f))
+    r = pw[digits.pop()]
+    while digits:
+        r = _frobmod(ctx, r, rows)
+        d = digits.pop()
+        if d:
+            r = _mod(ctx, _mul(ctx, r, pw[d]), f)
     return r
 
 
@@ -231,12 +317,15 @@ def _deriv(ctx, a):
     return _norm(out)
 
 
-def _trace_map(ctx, r, k, g):
-    """r + r^2 + r^4 + ... + r^(2^(k-1)) mod g, in characteristic 2."""
+def _trace_map(ctx, r, k, g, rows):
+    """r + r^2 + r^4 + ... + r^(2^(k-1)) mod g, in characteristic 2.
+
+    The k - 1 squarings are _frobmod steps on rows = _frob_rows(ctx, g).
+    """
     t = _mod(ctx, r, g)
     s = t
     for _ in range(k - 1):
-        t = _mod(ctx, _mul(ctx, t, t), g)
+        t = _frobmod(ctx, t, rows)
         s = _add(ctx, s, t)
     return s
 
@@ -260,11 +349,12 @@ def _split_roots(ctx, g):
             found.append(ctx.neg(g[0]))
         if d <= 1:
             continue
+        rows = _frob_rows(ctx, g)
         for a in range(ctx.e if ctx.p == 2 else ctx.order):
             if ctx.p == 2:
-                s = _trace_map(ctx, [0, 1 << a], ctx.e, g)
+                s = _trace_map(ctx, [0, 1 << a], ctx.e, g, rows)
             else:
-                s = _sub(ctx, _powmod(ctx, [a, 1], (ctx.order - 1) // 2, g), [1])
+                s = _sub(ctx, _powmod(ctx, [a, 1], (ctx.order - 1) // 2, g, rows), [1])
             h = _gcd(ctx, s, g)
             if 0 < len(h) - 1 < d:
                 stack += [h, _divmod(ctx, g, h)[0]]
@@ -369,12 +459,14 @@ class FieldCtx:
         log = [-1] * self.order
         cur = 1
         for i in range(n):
-            assert log[cur] == -1, "generator closed early; modulus not primitive"
+            if log[cur] != -1:
+                raise ArithmeticError("generator closed early; modulus not primitive")
             exp[i] = cur
             exp[i + n] = cur
             log[cur] = i
             cur = self._mul_raw(cur, self.gen)
-        assert cur == 1, "generator order does not divide p^e - 1"
+        if cur != 1:
+            raise ArithmeticError("generator order does not divide p^e - 1")
         self._exp = exp
         self._log = log
 
@@ -489,7 +581,8 @@ class FieldCtx:
 
     def sqrt_(self, a):
         """Square root; unique in characteristic 2."""
-        assert self.p == 2, "only the characteristic-2 square root is unique"
+        if self.p != 2:
+            raise ValueError(f"square roots are unique only in characteristic 2, not in {self!r}")
         return self.pow_(a, self.order >> 1)
 
     def abs_trace(self, a):
@@ -499,14 +592,16 @@ class FieldCtx:
         for _ in range(self.e):
             acc = self.add(acc, cur)
             cur = self.frob(cur)
-        assert acc < self.p, "absolute trace left the prime field"
+        if acc >= self.p:
+            raise ArithmeticError("absolute trace left the prime field")
         return acc
 
     # -- packing helpers
 
     def from_coeffs(self, cs):
         cs = list(cs)
-        assert len(cs) <= self.e
+        if len(cs) > self.e:
+            raise ValueError(f"{len(cs)} coefficients do not pack into {self!r}")
         out = 0
         for c in reversed(cs):
             out = out * self.p + (int(c) % self.p)
@@ -563,6 +658,12 @@ class FieldCtx:
         return f"GF({self.order})"
 
 
+def _same_field(ctx, other):
+    """A ValueError unless the two contexts are the same field."""
+    if ctx is not other and ctx != other:
+        raise ValueError(f"mixed fields: {ctx!r} and {other!r}")
+
+
 class FieldElem:
     """One field element: a context plus its packed index."""
 
@@ -581,22 +682,22 @@ class FieldElem:
         return self.ctx.coeffs(self.i)
 
     def __add__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return FieldElem(self.ctx, self.ctx.add(self.i, other.i))
 
     def __sub__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return FieldElem(self.ctx, self.ctx.sub(self.i, other.i))
 
     def __neg__(self):
         return FieldElem(self.ctx, self.ctx.neg(self.i))
 
     def __mul__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return FieldElem(self.ctx, self.ctx.mul(self.i, other.i))
 
     def __truediv__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return FieldElem(self.ctx, self.ctx.div(self.i, other.i))
 
     def __pow__(self, k):
@@ -876,13 +977,15 @@ class Embedding:
     def section_index(self, b):
         """Preimage of a packed index, or None if b is outside the image."""
         if self._sect is None:
-            assert self.sub.order <= TABLE_LIMIT, "section table too large"
+            if self.sub.order > TABLE_LIMIT:
+                raise ValueError(f"no section table for {self.sub!r}: above 2^16 elements")
             self._sect = {self.apply(a): a for a in range(self.sub.order)}
-            assert len(self._sect) == self.sub.order, "embedding not injective"
+            if len(self._sect) != self.sub.order:
+                raise ArithmeticError("embedding not injective")
         return self._sect.get(b)
 
     def __call__(self, x):
-        assert x.ctx == self.sub
+        _same_field(x.ctx, self.sub)
         return FieldElem(self.sup, self.apply(x.i))
 
 
@@ -946,5 +1049,6 @@ def rel_trace(q, x):
     sub = make_field(ctx.p, d)
     emb = embed(sub, ctx)
     j = emb.section_index(acc)
-    assert j is not None, "relative trace landed outside the subfield"
+    if j is None:
+        raise ArithmeticError("relative trace landed outside the subfield")
     return FieldElem(sub, j)

@@ -46,9 +46,12 @@ from .poly import UniPoly, factor
 
 # Exhaustive sampling is capped at this base-field size.
 EXHAUSTIVE_LIMIT = 1 << 20
-# Below this many fibers (or degree), the direct per-fiber path wins.  At 32
-# fibers of degree 5 to 28 over GF(2^6..2^12) the vectorized engine, its
-# three direct spot checks included, took 13-40% of the direct path's time.
+# Below this many fibers (or degree), the direct per-fiber path wins.  With
+# Frobenius-row powers in the direct path, over GF(2^6..2^12) for fibers of
+# degree 5 to 28 the vectorized engine, its three direct spot checks and the
+# factoring of f' for the branch points included, took 21-46% of the direct
+# path's time at 32 fibers, 29-91% at 16 and 74-246% at 8 (medians of three,
+# 2-core x86-64, Python 3.11).
 VECTOR_MIN_FIBERS = 32
 # How many fibers of each vectorized run are re-checked directly.
 VECTOR_SPOT_CHECKS = 3

@@ -5,6 +5,16 @@ an immutable coefficient tuple, low degree first, with no trailing
 zeros; BiPoly is a sparse {(i, j): coeff} map in two variables X and Y.
 The raw list kernels (_mul, _divmod, _powmod, ...) and the root splitter
 live in ff, which also runs them over GF(p) to check field moduli.
+
+Factorization is squarefree decomposition, distinct-degree splitting by
+X^(Q^d) mod g, and Cantor-Zassenhaus equal-degree splitting (a trace map
+in characteristic 2).  Every p-th power in these steps is one Frobenius-row
+step of ff: a^p mod g = sum a_i^p (X^(p*i) mod g), with the row table built
+once per g in _edf and reused across its random draws.  Powers are exact
+remainders, so the draws and hence the factor list depend on the seed
+alone, not on how the powers are formed.
+Mixed fields and negative exponents raise ValueError; an inexact
+exact_div or a failed internal invariant raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -17,11 +27,13 @@ from .ff import (
     _deriv,
     _divmod,
     _eval,
+    _frob_rows,
     _gcd,
     _monic,
     _mul,
     _neg,
     _powmod,
+    _same_field,
     _split_roots,
     _sub,
     _trace_map,
@@ -75,6 +87,8 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, ctx, k, a=1):
+        if k < 0:
+            raise ValueError(f"monomial degree {k} must be non-negative")
         a = a.i if isinstance(a, FieldElem) else int(a)
         return cls(ctx, (0,) * k + (a,))
 
@@ -100,22 +114,22 @@ class UniPoly:
     # -- arithmetic
 
     def __add__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return UniPoly(self.ctx, _add(self.ctx, list(self.c), list(other.c)))
 
     def __sub__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return UniPoly(self.ctx, _sub(self.ctx, list(self.c), list(other.c)))
 
     def __neg__(self):
         return UniPoly(self.ctx, _neg(self.ctx, list(self.c)))
 
     def __mul__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return UniPoly(self.ctx, _mul(self.ctx, self.c, other.c))
 
     def __divmod__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         q, r = _divmod(self.ctx, list(self.c), list(other.c))
         return UniPoly(self.ctx, q), UniPoly(self.ctx, r)
 
@@ -127,7 +141,8 @@ class UniPoly:
 
     def exact_div(self, other):
         q, r = divmod(self, other)
-        assert r.is_zero(), "division was not exact"
+        if not r.is_zero():
+            raise ArithmeticError("division was not exact")
         return q
 
     def scale(self, a):
@@ -138,11 +153,12 @@ class UniPoly:
         return UniPoly(self.ctx, _monic(self.ctx, list(self.c)))
 
     def gcd(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         return UniPoly(self.ctx, _gcd(self.ctx, self.c, other.c))
 
     def pow_(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"exponent {n} must be non-negative")
         r = UniPoly.one(self.ctx)
         base = self
         while n:
@@ -154,13 +170,15 @@ class UniPoly:
         return r
 
     def pow_mod(self, n, modpoly):
-        assert self.ctx == modpoly.ctx
+        _same_field(self.ctx, modpoly.ctx)
         return UniPoly(self.ctx, _powmod(self.ctx, list(self.c), n, list(modpoly.c)))
 
     def derivative(self):
         return UniPoly(self.ctx, _deriv(self.ctx, self.c))
 
     def times_x_power(self, k):
+        if k < 0:
+            raise ValueError(f"shift {k} must be non-negative")
         if not self.c:
             return self
         return UniPoly(self.ctx, (0,) * k + self.c)
@@ -172,13 +190,13 @@ class UniPoly:
 
     def __call__(self, x):
         if isinstance(x, FieldElem):
-            assert x.ctx == self.ctx
+            _same_field(x.ctx, self.ctx)
             return FieldElem(self.ctx, _eval(self.ctx, self.c, x.i))
         return _eval(self.ctx, self.c, int(x))
 
     def compose(self, other):
         """self(other): Horner over polynomials."""
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         acc = UniPoly.zero(self.ctx)
         for c in reversed(self.c):
             acc = acc * other
@@ -190,16 +208,17 @@ class UniPoly:
 
     def map_coeffs(self, embedding):
         """Push coefficients through an embedding into the bigger field."""
-        assert embedding.sub == self.ctx
+        _same_field(embedding.sub, self.ctx)
         return UniPoly(embedding.sup, [embedding.apply(c) for c in self.c])
 
     def descend(self, embedding):
         """Pull coefficients back along an embedding; all must be in range."""
-        assert embedding.sup == self.ctx
+        _same_field(embedding.sup, self.ctx)
         out = []
         for c in self.c:
             j = embedding.section_index(c)
-            assert j is not None, "coefficient outside the subfield"
+            if j is None:
+                raise ValueError(f"coefficient {c} lies outside {embedding.sub!r}")
             out.append(j)
         return UniPoly(embedding.sub, out)
 
@@ -261,7 +280,8 @@ def _pth_root_poly(f):
     for k in range(0, f.degree + 1, p):
         c = f.coeff(k)
         for j in range(k + 1, min(k + p, f.degree + 1)):
-            assert f.coeff(j) == 0, "not a p-th power"
+            if f.coeff(j):
+                raise ArithmeticError("not a p-th power")
         out.append(ctx.pow_(c, root_exp))
     return UniPoly(ctx, out)
 
@@ -319,17 +339,19 @@ def _edf(g, d, rng):
     if g.degree == d:
         return [g]
     n = g.degree
+    gc = list(g.c)
+    rows = _frob_rows(ctx, gc)
     while True:
         r = UniPoly(ctx, [rng.randrange(ctx.order) for _ in range(n)])
         if r.degree < 1:
             continue
         if ctx.p == 2:
             # trace map into GF(2) relative to the degree-d factor fields
-            h = g.gcd(UniPoly(ctx, _trace_map(ctx, list(r.c), ctx.e * d, list(g.c))))
+            s = _trace_map(ctx, list(r.c), ctx.e * d, gc, rows)
         else:
             expo = (ctx.order**d - 1) // 2
-            s = r.pow_mod(expo, g) - UniPoly.one(ctx)
-            h = g.gcd(s)
+            s = _sub(ctx, _powmod(ctx, list(r.c), expo, gc, rows), [1])
+        h = g.gcd(UniPoly(ctx, s))
         if 0 < h.degree < n:
             left = h.monic()
             right = g.exact_div(left)
@@ -379,7 +401,8 @@ def roots(f, field):
                 break
             m += 1
             work = q
-        assert m >= 1
+        if m < 1:
+            raise ArithmeticError(f"root {r} of the radical does not divide f")
         out.append((FieldElem(field, r), m))
     return out
 
@@ -436,7 +459,7 @@ class BiPoly:
         return not self.terms
 
     def __add__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         out = dict(self.terms)
         add = self.ctx.add
         for k, c in other.terms.items():
@@ -451,7 +474,7 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         out = {}
         mul = self.ctx.mul
         add = self.ctx.add
@@ -467,7 +490,8 @@ class BiPoly:
         return BiPoly(self.ctx, {k: mul(c, a) for k, c in self.terms.items()})
 
     def pow_(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"exponent {n} must be non-negative")
         r = BiPoly.const(self.ctx, 1)
         base = self
         while n:
@@ -522,7 +546,8 @@ class BiPoly:
 
     def subst_uni(self, fx, fy):
         """Collapse to a univariate: X := fx(T), Y := fy(T)."""
-        assert fx.ctx == self.ctx and fy.ctx == self.ctx
+        _same_field(fx.ctx, self.ctx)
+        _same_field(fy.ctx, self.ctx)
         ctx = self.ctx
         dx = max(self.degx, 0)
         dy = max(self.degy, 0)

@@ -153,6 +153,13 @@ def test_check_perm_csv_and_out(tmp_path, capsys):
 
 def test_check_perm_guards(capsys):
     code, rep, _ = run_json(capsys, [
+        "check-perm", "--family", "power", "--d", "5", "--field", "p=3,e=1",
+        "--extensions", "1000000000",
+    ])
+    assert code == 3
+    assert rep["checks"][-1]["data"]["guard"].startswith("size-guard")
+
+    code, rep, _ = run_json(capsys, [
         "check-perm", "--family", "char2-new", "--q", "8",
         "--alpha-index", "2", "--field", "p=2,e=2", "--extensions", "20",
     ])

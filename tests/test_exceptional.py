@@ -33,6 +33,16 @@ def test_size_guard_default():
     assert SIZE_GUARD == 1 << 26
 
 
+def test_tower_scan_refuses_a_huge_degree_without_forming_the_power():
+    # 3^(10^9) has about 1.6e9 bits; the guard must refuse j before forming it
+    g3 = make_field(3, 1)
+    spec = FamilySpec(kind="power", d=5, field=g3)
+    for j in (10**9, 17):
+        with pytest.raises(ValueError, match="size guard"):
+            tower_scan(spec, g3, [j])
+    assert [ok for _j, ok, _w in tower_scan(spec, g3, [2]).rows] == [True]
+
+
 # ---------------------------------------------------------------------------
 # is_permutation
 

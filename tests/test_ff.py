@@ -1,6 +1,8 @@
 """Field arithmetic: construction, axioms, Frobenius, embeddings, traces."""
 
+import ast
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -163,7 +165,7 @@ def test_arith_rejects_unknown_kind_and_mixed_fields():
     with pytest.raises(ValueError):
         arith("xor", a, a)
     b = make_field(2, 3).one
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         arith("add", a, b)
 
 
@@ -449,6 +451,7 @@ from excpoly.curves import weil_check
 from excpoly.exceptional import _mult_order
 from excpoly.families import MAX_DEGREE, FamilySpec, dickson, f_closed, family_iv, trace_poly
 from excpoly.ff import FieldCtx, FieldElem, VecField, embed, lift, log_p, make_field, rel_trace
+from excpoly.poly import BiPoly, UniPoly, _pth_root_poly
 one = FieldElem(make_field(2, 2), 1)
 cases = [
     lambda: FieldCtx(10**30 + 57, 1, (0, 1)),
@@ -470,6 +473,28 @@ cases = [
     lambda: lift(make_field(2, 2).one, make_field(2, 3)),
     lambda: log_p(6, 2),
     lambda: VecField(make_field(3, 2)),
+    # mixed fields, negative exponents and wrong domains in ff and poly
+    lambda: one + FieldElem(make_field(2, 3), 1),
+    lambda: one - FieldElem(make_field(2, 3), 1),
+    lambda: one * FieldElem(make_field(2, 3), 1),
+    lambda: one / FieldElem(make_field(2, 3), 1),
+    lambda: UniPoly.X(make_field(2, 2)) + UniPoly.X(make_field(2, 3)),
+    lambda: UniPoly.X(make_field(2, 2)) * UniPoly.X(make_field(2, 3)),
+    lambda: divmod(UniPoly.X(make_field(2, 2)), UniPoly.X(make_field(2, 3))),
+    lambda: UniPoly.X(make_field(2, 2)).gcd(UniPoly.X(make_field(2, 3))),
+    lambda: UniPoly.X(make_field(2, 2)).pow_mod(3, UniPoly.X(make_field(2, 3))),
+    lambda: UniPoly.X(make_field(2, 2))(FieldElem(make_field(2, 3), 1)),
+    lambda: BiPoly.X(make_field(2, 2)) * BiPoly.X(make_field(2, 3)),
+    lambda: UniPoly.X(make_field(2, 2)).pow_(-1),
+    lambda: UniPoly.X(make_field(2, 2)).pow_mod(-1, UniPoly.monomial(make_field(2, 2), 2)),
+    lambda: BiPoly.X(make_field(2, 2)).pow_(-1),
+    lambda: UniPoly.monomial(make_field(2, 2), -1),
+    lambda: make_field(3, 2).sqrt_(1),
+    lambda: make_field(2, 2).from_coeffs([1, 0, 1]),
+    lambda: embed(make_field(2, 1), make_field(2, 2))(one),
+    lambda: UniPoly.X(make_field(2, 3)).map_coeffs(embed(make_field(2, 2), make_field(2, 4))),
+    lambda: UniPoly.X(make_field(2, 3)).descend(embed(make_field(2, 2), make_field(2, 4))),
+    lambda: UniPoly.const(make_field(2, 4), 2).descend(embed(make_field(2, 2), make_field(2, 4))),
 ]
 for i, case in enumerate(cases):
     try:
@@ -478,7 +503,10 @@ for i, case in enumerate(cases):
         continue
     raise SystemExit("case %d raised no ValueError" % i)
 for i, case in enumerate([lambda: _mult_order(make_field(2, 2), 0, 3),
-                          lambda: _mult_order(make_field(2, 4), 2, 5)]):
+                          lambda: _mult_order(make_field(2, 4), 2, 5),
+                          lambda: UniPoly.X(make_field(2, 2)).exact_div(
+                              UniPoly(make_field(2, 2), (1, 1))),
+                          lambda: _pth_root_poly(UniPoly.X(make_field(2, 2)))]):
     try:
         case()
     except ArithmeticError:
@@ -516,6 +544,15 @@ for argv, guard in (
     done = subprocess.run([sys.executable, "-O", "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_ff_and_poly_hold_no_assert():
+    """Their checks raise named errors, so they hold under python -O too."""
+    src = pathlib.Path(excpoly.__file__).parent
+    for name in ("ff.py", "poly.py"):
+        tree = ast.parse((src / name).read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{name} asserts on lines {lines}"
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ def test_divide_by_zero_polynomial():
         divmod(UniPoly.X(G8), UniPoly.zero(G8))
 
 
+def test_negative_degrees_are_refused():
+    with pytest.raises(ValueError):
+        UniPoly.monomial(make_field(2, 2), -1)
+    with pytest.raises(ValueError):
+        UniPoly.X(G8).times_x_power(-2)
+    assert UniPoly.monomial(G8, 0, 5).c == (5,)
+    assert UniPoly.X(G8).times_x_power(0) == UniPoly.X(G8)
+
+
 def test_eval_of_trace_polynomial_at_one():
     t8 = UniPoly(G2, (0, 1, 1, 0, 1))  # X^4 + X^2 + X
     assert t8(FieldElem(G2, 1)).i == 1
