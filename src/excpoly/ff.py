@@ -368,10 +368,11 @@ def _is_irreducible(f, pf):
     # f monic of degree >= 2 over the prime field pf
     e = len(f) - 1
     x = [0, 1]
-    if _powmod(pf, x, pf.order**e, f) != x:
+    rows = _frob_rows(pf, f)
+    if _powmod(pf, x, pf.order**e, f, rows) != x:
         return False
     for r in prime_factors(e):
-        h = _sub(pf, _powmod(pf, x, pf.order ** (e // r), f), x)
+        h = _sub(pf, _powmod(pf, x, pf.order ** (e // r), f, rows), x)
         if len(_gcd(pf, h, f)) != 1:
             return False
     return True
@@ -380,7 +381,8 @@ def _is_irreducible(f, pf):
 def _is_primitive(f, pf, unit_factors):
     # f monic irreducible of degree >= 2; is the class of x a generator of the units?
     n = pf.order ** (len(f) - 1) - 1
-    return all(_powmod(pf, [0, 1], n // r, f) != [1] for r in unit_factors)
+    rows = _frob_rows(pf, f)
+    return all(_powmod(pf, [0, 1], n // r, f, rows) != [1] for r in unit_factors)
 
 
 def _digits(n, p, e):

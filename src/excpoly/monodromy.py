@@ -19,11 +19,14 @@ fiber directly.  Large char-2 jobs run a vectorized engine that never
 factors, on the base's ff.VecField (log tables up to 2^16 elements,
 byte-table products above, so on every base the API takes): with the
 fixed modulus h = f - t it computes r_d = deg gcd(h, X^(s^d) - X) for
-d up to deg(f)/2 by a mask-synchronized Euclidean loop across all
-fibers at once, then recovers the number of distinct degree-k factors
-by Moebius inversion of r_d = sum over k | d of k * m_k.  Ramified
-fibers are delegated to the direct path, and a fixed subsample (first,
-middle, last) of every vectorized run is re-checked against it.
+d = 1, 2, ... by a mask-synchronized Euclidean loop across all live
+fibers at once, and takes the number of distinct degree-d factors from
+r_d = sum over k | d of k * m_k as the rounds run.  A fiber leaves the
+live set once its uncounted degree r is below 2(d + 1), the stopping
+rule poly._ddf uses: every factor of degree <= d is counted, so r is
+zero or one irreducible factor.  Ramified fibers are delegated to the
+direct path, and a fixed subsample (first, middle, last) of every
+vectorized run is re-checked against it.
 
 Orbit reduction: when f has coefficients in GF(p^a), applying the
 Frobenius x -> x^(p^a) to f - t gives f - t^(p^a), so the two fibers
@@ -47,11 +50,12 @@ from .poly import UniPoly, factor
 # Exhaustive sampling is capped at this base-field size.
 EXHAUSTIVE_LIMIT = 1 << 20
 # Below this many fibers (or degree), the direct per-fiber path wins.  With
-# Frobenius-row powers in the direct path, over GF(2^6..2^12) for fibers of
-# degree 5 to 28 the vectorized engine, its three direct spot checks and the
-# factoring of f' for the branch points included, took 21-46% of the direct
-# path's time at 32 fibers, 29-91% at 16 and 74-246% at 8 (medians of three,
-# 2-core x86-64, Python 3.11).
+# Frobenius-row powers in the direct path and per-fiber stopping in the
+# engine, over GF(2^6..2^12) for random monic f of degree 5, 12 and 28 the
+# vectorized engine, its three direct spot checks and the factoring of f'
+# for the branch points included, took 29-60% of the direct path's time at
+# 32 fibers, 34-132% at 16 and 87-186% at 8 (medians of three, 2-core
+# x86-64, Python 3.11).
 VECTOR_MIN_FIBERS = 32
 # How many fibers of each vectorized run are re-checked directly.
 VECTOR_SPOT_CHECKS = 3
@@ -190,7 +194,8 @@ class PermAction:
                 reps.append(r)
         self.domain = reps
         self.pair_id = pair_id
-        assert len(reps) == q * (q - 1) // 2, "domain size %d" % len(reps)
+        if len(reps) != q * (q - 1) // 2:
+            raise ArithmeticError("domain size %d" % len(reps))
         g = gfq.gen
         self.gens = [(1, 1, 0, 1), (g, 0, 0, 1), (0, 1, 1, 0)]
         self._elements = None
@@ -212,7 +217,8 @@ class PermAction:
         for c in range(1, q):
             for d in range(q):
                 out.append((0, 1, c, d))
-        assert len(out) == q ** 3 - q, "linear group order %d" % len(out)
+        if len(out) != q ** 3 - q:
+            raise ArithmeticError("linear group order %d" % len(out))
         self._elements = out
         return out
 
@@ -249,7 +255,8 @@ class PermAction:
                 t = perm[t]
                 length += 1
             parts.append(length)
-        assert sum(parts) == n
+        if sum(parts) != n:
+            raise ArithmeticError("cycle lengths sum to %d, not %d" % (sum(parts), n))
         return tuple(sorted(parts))
 
     def _validate(self):
@@ -269,13 +276,18 @@ class PermAction:
                         seen.add(t)
                         nxt.append(t)
             frontier = nxt
-        assert len(seen) == n, "action not transitive: orbit %d of %d" % (len(seen), n)
+        if len(seen) != n:
+            raise ArithmeticError(
+                "action not transitive: orbit %d of %d" % (len(seen), n))
         # Point stabilizer order, by direct count over all elements.
         base = self.domain[0]
         stab = sum(1 for mat in self.elements() if self.apply(mat, 0, base) == base)
-        assert stab == 2 * (q + 1), "stabilizer order %d, want %d" % (stab, 2 * (q + 1))
+        if stab != 2 * (q + 1):
+            raise ArithmeticError(
+                "stabilizer order %d, want %d" % (stab, 2 * (q + 1)))
         # Orbit-stabilizer consistency.
-        assert stab * n == q ** 3 - q
+        if stab * n != q ** 3 - q:
+            raise ArithmeticError("orbit-stabilizer count %d * %d" % (stab, n))
 
 
 _ACTIONS = {}
@@ -308,9 +320,11 @@ def coset_cycle_types(q, j):
     )
     if j == 0:
         ident = tuple([1] * (q * (q - 1) // 2))
-        assert dist.entries[ident] == Fraction(1, order)
+        if dist.entries.get(ident) != Fraction(1, order):
+            raise ArithmeticError("the identity is not one element of the coset")
         # Burnside: a transitive action averages one fixed point.
-        assert dist.average_fixed_points() == 1
+        if dist.average_fixed_points() != 1:
+            raise ArithmeticError("the coset does not average one fixed point")
     _COSET_DISTS[key] = dist
     return dist
 
@@ -324,7 +338,8 @@ def _shape_one(fb, t):
     h = fb - UniPoly.const(fb.ctx, t)
     fac = factor(h, seed=0)
     shape = tuple(sorted(p.degree for p, _mult in fac.factors))
-    assert shape
+    if not shape:
+        raise ArithmeticError("fiber at t index %d has no factor" % t)
     return shape
 
 
@@ -412,35 +427,34 @@ def _vector_shapes(fb, ts, branch_set):
     Returns a list of shape tuples aligned with ts.  Ramified fibers
     (t in branch_set) are computed by the direct path; the vectorized
     root-count recursion assumes a squarefree modulus everywhere else.
+    Round d counts the degree-d factors of every live fiber; a fiber
+    leaves once its uncounted degree r is below 2(d + 1), the stopping
+    rule of poly._ddf, because r is then zero or one irreducible factor.
     """
     ctx = fb.ctx
     m = fb.degree
-    assert m >= 3 and fb.is_monic()
+    if m < 3 or not fb.is_monic():
+        raise ValueError("the vectorized engine needs f monic of degree >= 3")
     vf = ctx.vec
     n = ctx.e
-    dmax = m // 2
     flow = np.array([fb.coeff(i) for i in range(m)], dtype=np.int64)
     ts_arr = np.asarray(ts, dtype=np.int64)
 
     shapes = [None] * len(ts)
-    mobius = {}
-    for k in range(1, dmax + 1):
-        row = []
-        for d in range(1, k + 1):
-            if k % d == 0:
-                r = k // d
-                mu = _mobius(r)
-                if mu:
-                    row.append((d, mu))
-        mobius[k] = row
-
     chunk = 4096
     for lo in range(0, len(ts), chunk):
         tchunk = ts_arr[lo: lo + chunk]
-        nf = len(tchunk)
+        live = []
+        for i, t in enumerate(tchunk.tolist()):
+            if t in branch_set:
+                shapes[lo + i] = _shape_one(fb, t)
+            else:
+                live.append(i)
+        live = np.array(live, dtype=np.int64)
+        nf = len(live)
         # h = f - t: X^m reduces to hlow, the low part with t folded in.
         hlow = np.broadcast_to(flow, (nf, m)).copy()
-        hlow[:, 0] ^= tchunk
+        hlow[:, 0] ^= tchunk[live]
         # red[j] = X^(m+j) mod h for the even spread positions.
         red = np.zeros((m - 1, nf, m), dtype=np.int64)
         red[0] = hlow
@@ -452,7 +466,7 @@ def _vector_shapes(fb, ts, branch_set):
 
         def sqmod(B):
             sq = vf.sq(B)
-            out = np.zeros((nf, m), dtype=np.int64)
+            out = np.zeros_like(B)
             half = (m + 1) // 2
             out[:, : 2 * half - 1: 2] = sq[:, :half]
             for i in range(half, m):
@@ -462,40 +476,45 @@ def _vector_shapes(fb, ts, branch_set):
         H = np.zeros((nf, m + 1), dtype=np.int64)
         H[:, :m] = hlow
         H[:, m] = 1
-        rdeg = np.zeros((nf, dmax + 1), dtype=np.int64)
+        # mults[:, k] = number of degree-k factors; rest = degree not yet counted
+        mults = np.zeros((nf, m // 2 + 1), dtype=np.int64)
+        rest = np.full(nf, m, dtype=np.int64)
         B = np.zeros((nf, m), dtype=np.int64)
         B[:, 1] = 1
-        for d in range(1, dmax + 1):
+        d = 0
+        while len(live):
+            d += 1
             for _ in range(n):
                 B = sqmod(B)
             V0 = B.copy()
             V0[:, 1] ^= 1
-            rdeg[:, d] = _gcd_degrees(vf, H, V0)
-        mults = np.zeros((nf, dmax + 1), dtype=np.int64)
-        for k in range(1, dmax + 1):
-            acc = np.zeros(nf, dtype=np.int64)
-            for d, mu in mobius[k]:
-                acc += mu * rdeg[:, d]
-            if (acc % k).any():
+            # deg gcd(h, X^(s^d) - X) = sum over k | d of k * mults[:, k]
+            acc = _gcd_degrees(vf, H, V0)
+            for k in range(1, d // 2 + 1):
+                if d % k == 0:
+                    acc -= k * mults[:, k]
+            if (acc % d).any() or (acc < 0).any():
                 raise ArithmeticError("root counts are not Moebius-consistent")
-            mults[:, k] = acc // k
-        if (mults < 0).any():
-            raise ArithmeticError("Moebius inversion gave a negative factor count")
-        covered = (mults * np.arange(dmax + 1)).sum(axis=1)
-        for i in range(nf):
-            t = int(tchunk[i])
-            if t in branch_set:
-                shapes[lo + i] = _shape_one(fb, t)
+            mults[:, d] = acc // d
+            rest -= acc
+            done = rest < 2 * (d + 1)
+            if not done.any():
                 continue
-            parts = []
-            for k in range(1, dmax + 1):
-                parts.extend([k] * int(mults[i, k]))
-            rest = m - int(covered[i])
-            if rest:
-                if rest <= dmax:
-                    raise ArithmeticError("leftover degree %d is impossible" % rest)
-                parts.append(rest)
-            shapes[lo + i] = tuple(parts)
+            # every factor of degree <= d is counted: what is left is one factor
+            bad = done & ((rest < 0) | ((rest > 0) & (rest <= d)))
+            if bad.any():
+                raise ArithmeticError(
+                    "leftover degree %d is impossible" % int(rest[bad][0]))
+            for i in np.flatnonzero(done).tolist():
+                parts = []
+                for k in range(1, d + 1):
+                    parts.extend([k] * int(mults[i, k]))
+                if rest[i]:
+                    parts.append(int(rest[i]))
+                shapes[lo + int(live[i])] = tuple(parts)
+            keep = ~done
+            live, rest, mults = live[keep], rest[keep], mults[keep]
+            B, H, red = B[keep], H[keep], red[:, keep]
     # Spot-check a deterministic subsample against the direct path.
     if len(ts) > VECTOR_SPOT_CHECKS:
         picks = sorted({0, len(ts) // 2, len(ts) - 1})
@@ -507,23 +526,6 @@ def _vector_shapes(fb, ts, branch_set):
                 "vectorized shape disagrees with direct factorization at t index %d"
                 % int(ts_arr[i]))
     return shapes
-
-
-def _mobius(r):
-    if r == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= r:
-        if r % d == 0:
-            r //= d
-            if r % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if r > 1:
-        out = -out
-    return out
 
 
 def _shapes_for(fb, ts):
@@ -585,7 +587,8 @@ def _cheb_worker(payload):
     f_json, ctx_json, ts = payload
     base = field_from_json(ctx_json)
     fb = UniPoly.from_json(f_json)
-    assert fb.ctx == base
+    if fb.ctx != base:
+        raise ValueError("polynomial field %r is not the base %r" % (fb.ctx, base))
     return _shapes_for(fb, ts)
 
 

@@ -320,14 +320,18 @@ def _ddf(g):
     h = UniPoly.X(ctx)
     d = 0
     rest = g
+    rows = None  # _frob_rows of rest, built once per rest
     while rest.degree > 2 * (d + 1) - 1:
         d += 1
-        h = h.pow_mod(ctx.order, rest)
+        if rows is None:
+            rows = _frob_rows(ctx, rest.c)
+        h = UniPoly(ctx, _powmod(ctx, list(h.c), ctx.order, list(rest.c), rows))
         gd = rest.gcd(h - UniPoly.X(ctx))
         if gd.degree > 0:
             out.append((gd, d))
             rest = rest.exact_div(gd)
             h = h % rest
+            rows = None
     if rest.degree > 0:
         out.append((rest, rest.degree))
     return out

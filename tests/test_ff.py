@@ -547,9 +547,10 @@ for argv, guard in (
 
 
 def test_ff_and_poly_hold_no_assert():
-    """Their checks raise named errors, so they hold under python -O too."""
+    """Their checks (and monodromy's) raise named errors, so they hold under
+    python -O too."""
     src = pathlib.Path(excpoly.__file__).parent
-    for name in ("ff.py", "poly.py"):
+    for name in ("ff.py", "poly.py", "monodromy.py"):
         tree = ast.parse((src / name).read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{name} asserts on lines {lines}"

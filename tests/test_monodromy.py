@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import excpoly
@@ -404,7 +404,7 @@ def test_vector_engine_checks_survive_python_O():
     code = """
 from fractions import Fraction
 import numpy as np
-from excpoly import CycleDist, FieldElem, f_closed, make_field
+from excpoly import CycleDist, FieldElem, UniPoly, f_closed, make_field
 from excpoly import monodromy
 
 for bad in ({(1, 5): Fraction(1, 3)}, {(7,): 1}, {(0, 6): 1}, {(): 1}):
@@ -413,6 +413,13 @@ for bad in ({(1, 5): Fraction(1, 3)}, {(7,): 1}, {(0, 6): 1}, {(): 1}):
     except ValueError:
         continue
     raise SystemExit("CycleDist accepted %r" % (bad,))
+g = UniPoly(make_field(2, 2), [1, 0, 0, 2])
+try:
+    monodromy._vector_shapes(g, list(range(4)), set())
+except ValueError:
+    pass
+else:
+    raise SystemExit("the engine took a non-monic f")
 monodromy._gcd_degrees = lambda vf, H, V0: np.zeros(len(H), dtype=np.int64)
 f = f_closed(8, FieldElem(make_field(2, 2), 2))
 try:
@@ -441,3 +448,78 @@ def test_orbit_check_catches_a_wrong_representative_shape(monkeypatch):
     monkeypatch.setattr(monodromy, "_shapes_for", skewed)
     with pytest.raises(ArithmeticError, match="Frobenius orbit"):
         chebotarev_sample(f, G16)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized engine retires each fiber once its distinct-degree split is
+# complete: uncounted degree below 2(d + 1) after round d, as in poly._ddf
+
+
+def _leftover(shape):
+    """The degree the stopping rule leaves over as one factor when it
+    retires an unramified fiber of this shape."""
+    d, rest = 0, sum(shape)
+    while rest >= 2 * (d + 1):
+        d += 1
+        rest -= d * shape.count(d)
+    return rest
+
+
+@st.composite
+def fibered_polys(draw):
+    """Monic f of degree 3..30 over GF(2^2..2^8), a product of random monic
+    factors plus a constant c, so that the fiber at c has a drawn factor
+    pattern; with VECTOR_MIN_FIBERS random t, then c."""
+    ctx = make_field(2, draw(st.integers(2, 8)))
+    coeff = st.integers(0, ctx.order - 1)
+    m = draw(st.integers(3, 30))
+    f = UniPoly.one(ctx)
+    while f.degree < m:
+        k = draw(st.integers(1, m - f.degree))
+        f = f * UniPoly(ctx, draw(st.lists(coeff, min_size=k, max_size=k)) + [1])
+    c = draw(coeff)
+    n = monodromy.VECTOR_MIN_FIBERS
+    ts = draw(st.lists(coeff, min_size=n, max_size=n))
+    return f + UniPoly.const(ctx, c), ts + [c]
+
+
+def test_vector_engine_stopping_rule_matches_direct_factoring():
+    """Every fiber, ramified ones included, against full factorization;
+    leftover factors of degree <= deg(f)/2 and above both occur."""
+    leftovers = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(fibered_polys())
+    def check(case):
+        f, ts = case
+        assume(not f.derivative().is_zero())
+        branch = {e.i for e in branch_points(f, f.ctx)}
+        ts = ts + sorted(branch)
+        shapes = monodromy._vector_shapes(f, ts, branch)
+        for t, shape in zip(ts, shapes):
+            assert shape == monodromy._shape_one(f, t)
+            rest = _leftover(shape)
+            if t not in branch and rest:
+                leftovers.add(rest <= f.degree // 2)
+
+    check()
+    assert leftovers == {True, False}
+
+
+def test_vector_engine_rounds_stop_at_the_largest_part(monkeypatch):
+    """Over GF(4^4) no unramified part exceeds 9, so the engine runs 9
+    rounds, not deg(f)/2 = 14, on live sets that only shrink."""
+    f = f_closed(8, FieldElem(G4, 2))
+    rows = []
+    gcd_degrees = monodromy._gcd_degrees
+
+    def spy(vf, H, V0):
+        rows.append(len(H))
+        return gcd_degrees(vf, H, V0)
+
+    monkeypatch.setattr(monodromy, "_gcd_degrees", spy)
+    dist = chebotarev_sample(f, make_field(2, 8))
+    largest = max(max(shape) for shape in dist.unramified().entries)
+    assert largest == 9 < f.degree // 2
+    assert len(rows) == largest
+    assert rows == sorted(rows, reverse=True)
