@@ -13,7 +13,6 @@ from .ff import (
     Embedding,
     FieldCtx,
     FieldElem,
-    arith,
     embed,
     field_from_json,
     make_field,
@@ -23,10 +22,8 @@ from .poly import (
     BiPoly,
     Factorization,
     UniPoly,
-    bipoly_arith,
     factor,
     roots,
-    upoly_arith,
 )
 from .families import (
     FamilySpec,
@@ -77,7 +74,6 @@ __all__ = [
     "Embedding",
     "FieldCtx",
     "FieldElem",
-    "arith",
     "embed",
     "field_from_json",
     "make_field",
@@ -85,10 +81,8 @@ __all__ = [
     "UniPoly",
     "BiPoly",
     "Factorization",
-    "bipoly_arith",
     "factor",
     "roots",
-    "upoly_arith",
     "FamilySpec",
     "CanonicalForm",
     "NotInFamily",

@@ -91,7 +91,8 @@ def product_identity(q):
 
 
 def dickson_identity(seed, samples):
-    """D_d(y + a/y) = y^d + (a/y)^d at seeded points of GF(2^8) and GF(3^4)."""
+    """D_d(y + a/y) = y^d + (a/y)^d at seeded points of GF(2^8) and GF(3^4);
+    no sample checked is a failure, not a pass."""
     rng = random.Random(seed)
     fields = [make_field(2, 8), make_field(3, 4)]
     done = 0
@@ -103,7 +104,7 @@ def dickson_identity(seed, samples):
         if dickson(d, a)(y + a / y) != y ** d + (a / y) ** d:
             return False, {"d": d, "alpha": a.i, "y": y.i}
         done += 1
-    return True, {"samples": done, "max_degree": 11}
+    return done > 0, {"samples": done, "max_degree": 11}
 
 
 def canonicalization(q, seed, trials):

@@ -297,6 +297,8 @@ def _identity_checks(runner, q, seed, samples):
 def _check_identities(args, runner):
     if args.q not in (4, 8, 16):
         raise Guard("identities-q-range: q must be 4, 8, or 16, got %r" % (args.q,))
+    if args.samples < 1:
+        raise Guard("identities-samples: --samples must be at least 1, got %d" % (args.samples,))
     _identity_checks(runner, args.q, args.seed, args.samples)
 
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ff import VEC_CHUNK, FieldCtx, FieldElem, embed, field_from_json, lift, log_p, make_field
+from .ff import (VEC_CHUNK, FieldCtx, FieldElem, _frob_orbits, embed, field_from_json, lift,
+                 log_p, make_field)
 from .poly import BiPoly, UniPoly
 
 FIBER_GUARD = 1 << 24
@@ -278,17 +279,30 @@ def _cab_poly(q, ctx, a, b):
 
     (V^q + V + (a+b) W) (1 + W^(q-1))^(q/2)  +  W^q sum_i b^(2^i) (1 + W^(q-1))^(q/2 - 2^i)
     """
-    e = log_p(q, 2)
     V = BiPoly.X(ctx)
     W = BiPoly.Y(ctx)
-    base = BiPoly.const(ctx, 1) + BiPoly(ctx, {(0, q - 1): 1})
-    D = base.pow_(q // 2)
+    D, tail = _cleared_trace(BiPoly.const(ctx, 1) + BiPoly(ctx, {(0, q - 1): 1}), q, b)
     head = (BiPoly(ctx, {(q, 0): 1}) + V + W.scale(ctx.add(a, b))) * D
-    tail = BiPoly.zero(ctx)
-    for i in range(e):
-        k = 1 << i
-        tail = tail + base.pow_(q // 2 - k).scale(ctx.pow_(b, k))
     return head + BiPoly(ctx, {(0, q): 1}) * tail
+
+
+def _cleared_trace(base, q, b):
+    """T(b / base) cleared to base^(q/2): the pair (base^(q/2), sum_i
+    b^(2^i) base^(q/2 - 2^i)) for a UniPoly or BiPoly base."""
+    ks = [1 << i for i in range(log_p(q, 2))]
+    terms = [base.pow_(q // 2 - k).scale(base.ctx.pow_(b, k)) for k in ks]
+    return base.pow_(q // 2), sum(terms[1:], terms[0])
+
+
+def _cover_params(alpha, beta, e=1):
+    """The additive cover's (alpha, beta) gate: both nonzero in
+    characteristic 2, lifted as (amb, a, b) into GF(2^lcm(e, ...))."""
+    if alpha.ctx.p != 2 or beta.ctx.p != 2:
+        raise ValueError("parameters must live in characteristic 2")
+    if alpha.i == 0 or beta.i == 0:
+        raise ValueError("alpha and beta must be nonzero")
+    amb = make_field(2, math.lcm(e, alpha.ctx.e, beta.ctx.e))
+    return amb, lift(alpha, amb).i, lift(beta, amb).i
 
 
 def _unit_root(ctx, n):
@@ -347,13 +361,7 @@ def verify_b_action(q, alpha, beta, mutate=False):
     the identity.
     """
     e = log_p(q, 2)
-    if alpha.ctx.p != 2 or beta.ctx.p != 2:
-        raise ValueError("parameters must live in characteristic 2")
-    if alpha.i == 0 or beta.i == 0:
-        raise ValueError("alpha and beta must be nonzero")
-    amb = make_field(2, math.lcm(e, alpha.ctx.e, beta.ctx.e))
-    a = lift(alpha, amb).i
-    b = lift(beta, amb).i
+    amb, a, b = _cover_params(alpha, beta, e)
     E = _cab_poly(q, amb, a, b)
     V = BiPoly.X(amb)
     W = BiPoly.Y(amb)
@@ -422,11 +430,7 @@ def sl2_certificate(q, alpha, beta=None):
     one = UniPoly.one(amb)
     wq1 = UniPoly.monomial(amb, q - 1)
     base = one + wq1
-    D = base.pow_(q // 2)
-    NT = UniPoly.zero(amb)
-    for i in range(e):
-        k = 1 << i
-        NT = NT + base.pow_(q // 2 - k).scale(amb.pow_(b, k))
+    D, NT = _cleared_trace(base, q, b)
     Bnum = UniPoly.monomial(amb, 1, amb.add(a, b)) * D + UniPoly.monomial(amb, q) * NT
     E = FnField(amb, q, RatFn.one(amb), RatFn(Bnum, D))
     v = E.gen
@@ -600,23 +604,13 @@ def quotient_relations_report(q, alpha, beta):
     t * image(t) = 1/z^(q-1).  All checks are formal polynomial identities.
     """
     e = log_p(q, 2)
-    if alpha.ctx.p != 2 or beta.ctx.p != 2:
-        raise ValueError("parameters must live in characteristic 2")
-    if alpha.i == 0 or beta.i == 0:
-        raise ValueError("alpha and beta must be nonzero")
-    amb = make_field(2, math.lcm(alpha.ctx.e, beta.ctx.e))
-    a = lift(alpha, amb).i
-    b = lift(beta, amb).i
+    amb, a, b = _cover_params(alpha, beta)
     c0 = amb.add(amb.add(amb.mul(a, a), a), amb.mul(b, b))
 
     t = UniPoly.X(amb)
     one = UniPoly.one(amb)
     tp1 = t + one
-    half = tp1.pow_(q // 2)
-    NT = UniPoly.zero(amb)
-    for i in range(e):
-        k = 1 << i
-        NT = NT + tp1.pow_(q // 2 - k).scale(amb.pow_(b, k))
+    half, NT = _cleared_trace(tp1, q, b)
     A = RatFn(one, t)
     B = RatFn(UniPoly.const(amb, amb.add(a, b)), t) + RatFn(NT, half)
     F = FnField(amb, q, A, B)
@@ -695,13 +689,7 @@ def plane_model(q, c, allow_singular=False):
 
 def artin_schreier_model(q, alpha, beta):
     """Additive-cover model; both parameters must be nonzero and coresident."""
-    if alpha.i == 0 or beta.i == 0:
-        raise ValueError("alpha and beta must be nonzero")
-    if alpha.ctx.p != 2 or beta.ctx.p != 2:
-        raise ValueError("parameters must live in characteristic 2")
-    amb = make_field(2, math.lcm(alpha.ctx.e, beta.ctx.e))
-    a = lift(alpha, amb).i
-    b = lift(beta, amb).i
+    amb, a, b = _cover_params(alpha, beta)
     return CurveModel("artin_schreier", q, amb, (a, b), _cab_poly(q, amb, a, b))
 
 
@@ -796,13 +784,8 @@ def _count_plane_fiber_range(vf, quadratic, q, e, c, n, a, d, lo, hi):
     if N % a or N % d or (2**d - 1) % n:
         raise ArithmeticError(f"degrees a = {a}, d = {d} do not fit GF(2^{N}) and n = {n}")
     u = np.arange(max(lo, 1), hi, dtype=np.int64)
-    weight = np.full(u.size, N // a, dtype=np.int64)
-    cur = u
-    for j in range(1, N // a):
-        cur = vf.pow2(cur, a)
-        least = cur >= u
-        u, cur, weight = u[least], cur[least], weight[least]
-        weight[(cur == u) & (weight > j)] = j
+    least, weight = _frob_orbits(vf.ctx, a, u)
+    u, weight = u[least == u], weight[least == u]
     if u.size == 0:
         return 0, 0
     b = vf.trace_T(u, e) ^ c
@@ -1058,28 +1041,6 @@ def zeta(model, g, threads=1, counts=None):
     if not 0 <= p_rank <= g:
         raise ArithmeticError(f"p-rank {p_rank} lies outside 0..{g}")
     return ZetaData(g, base, tuple(counts), tuple(L), p_rank)
-
-
-def _weil_radius_deviation(L, base):
-    """Largest deviation of |root| * sqrt(base) from 1 over the roots of L.
-
-    Repeated factors are common here (the L-polynomial can be a perfect power
-    when the Jacobian splits isogenously), and both companion-matrix roots and
-    plain Newton degrade badly at multiple roots.  The radius set is unchanged
-    by passing to the square-free part, whose simple roots Newton then polishes
-    to well beyond the 1e-6 certification level.
-    """
-    red = _q_squarefree([Fraction(int(c)) for c in L])
-    hi_first = [float(c) for c in reversed(red)]
-    z = np.roots(np.array(hi_first, dtype=float)).astype(np.clongdouble)
-    p = np.array(hi_first, dtype=np.clongdouble)
-    dp = np.polyder(p)
-    for _ in range(40):
-        step = np.polyval(p, z) / np.polyval(dp, z)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    return float(np.max(np.abs(np.abs(z) * np.sqrt(np.clongdouble(base)) - 1)))
 
 
 def _weil_radius_certified(L, base):

@@ -168,11 +168,12 @@ def _verdict_dickson(spec, base):
             if big.pow_(c, s) == c:
                 hit = True
             z = big.mul(z, z0)
-    else:
-        assert nroots == 1
+    elif nroots != 1:
+        raise ArithmeticError(f"{nroots} d-th roots of unity for prime d = {d}")
     verdict = not hit
     # cross-check against the closed-form criterion gcd(d, s^2 - 1) = 1
-    assert verdict == (math.gcd(d, s * s - 1) == 1)
+    if verdict != (math.gcd(d, s * s - 1) == 1):
+        raise ArithmeticError(f"Dickson verdict {verdict} disagrees with gcd(d, s^2 - 1)")
     return verdict
 
 
@@ -220,7 +221,8 @@ def _verdict_char3(spec, base):
         while cur != aidx:
             cur = base.mul(cur, base.gen)
             lg += 1
-        assert t == dd // math.gcd(dd, lg)
+        if t != dd // math.gcd(dd, lg):
+            raise ArithmeticError(f"order {t} of alpha's class disagrees with its discrete log")
     return t % 2 == 0 and math.gcd(base.e, e) == 1
 
 

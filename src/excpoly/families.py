@@ -98,7 +98,8 @@ def f_closed(q, alpha):
         acc = acc + piece.times_x_power(1 << i).scale(w)
     h = h + acc.scale(ctx.inv(ctx.add(a, 1)))
     f = h.exact_div(UniPoly.monomial(ctx, q))
-    assert f.degree == q * (q - 1) // 2 and f.is_monic()
+    if f.degree != q * (q - 1) // 2 or not f.is_monic():
+        raise ArithmeticError(f"f_closed gave degree {f.degree}, not a monic q(q-1)/2")
     return f
 
 
@@ -131,7 +132,8 @@ def f_product(q, a):
             zz = amb.mul(zz, zz)
         out = out * UniPoly(amb, coeffs)
     f = out.descend(up)
-    assert f.degree == q * (q - 1) // 2 and f.is_monic()
+    if f.degree != q * (q - 1) // 2 or not f.is_monic():
+        raise ArithmeticError(f"f_product gave degree {f.degree}, not a monic q(q-1)/2")
     return f
 
 
@@ -167,7 +169,8 @@ def family_iv(q, n, alpha):
         k = (1 << i) - 1
         inner[n * k] = ctx.pow_(a, k)
     f = UniPoly(ctx, inner).pow_((q + 1) // n).times_x_power(1)
-    assert f.degree == q * (q - 1) // 2
+    if f.degree != q * (q - 1) // 2:
+        raise ArithmeticError(f"family_iv gave degree {f.degree}, not q(q-1)/2")
     return f
 
 
@@ -193,7 +196,8 @@ def family_v(q, n, alpha):
     C = B.pow_((q - 1) // 2) + UniPoly.const(ctx, ctx.pow_(a, (q - 1) // 2))
     D = C.exact_div(UniPoly.monomial(ctx, 2 * n))
     f = (part1 * D.pow_((q + 1) // (2 * n))).times_x_power(1)
-    assert f.degree == q * (q - 1) // 2
+    if f.degree != q * (q - 1) // 2:
+        raise ArithmeticError(f"family_v gave degree {f.degree}, not q(q-1)/2")
     return f
 
 

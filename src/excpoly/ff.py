@@ -45,7 +45,6 @@ __all__ = [
     "rel_trace",
     "lift",
     "log_p",
-    "arith",
     "field_from_json",
     "prime_factors",
     "is_prime",
@@ -865,30 +864,25 @@ class VecField:
             int.__xor__, (self.ctx.pow_(x, 1 << i) for i in range(e))))(a)
 
 
-def arith(kind, a, b=None):
-    """Dispatch one arithmetic operation on wrapped elements.
+def _frob_step(ctx, a):
+    """x -> x^(p^a) on numpy arrays of packed indices."""
+    if ctx.p == 2:
+        return lambda x: ctx.vec.pow2(x, a)
+    q = ctx.p ** a
+    return lambda x: np.array([ctx.pow_(int(v), q) for v in x], dtype=np.int64)
 
-    kind is one of add, sub, mul, div, neg, inv, pow, frob; pow takes an
-    integer exponent for b.
-    """
-    ctx = a.ctx
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    if kind == "neg":
-        return -a
-    if kind == "inv":
-        return FieldElem(ctx, ctx.inv(a.i))
-    if kind == "pow":
-        return a ** int(b)
-    if kind == "frob":
-        return FieldElem(ctx, ctx.frob(a.i))
-    raise ValueError(f"unknown arith kind {kind!r}")
+
+def _frob_orbits(ctx, a, xs):
+    """(least, length) per packed index x of xs: the least element of the
+    orbit of x under x -> x^(p^a), a dividing ctx.e, and the orbit's length."""
+    step = _frob_step(ctx, a)
+    xs = least = cur = np.asarray(xs, dtype=np.int64)
+    length = np.full(xs.shape, ctx.e // a, dtype=np.int64)
+    for j in range(1, ctx.e // a):
+        cur = step(cur)
+        least = np.minimum(least, cur)
+        length[(cur == xs) & (length > j)] = j
+    return least, length
 
 
 # ---------------------------------------------------------------------------

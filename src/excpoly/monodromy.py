@@ -25,8 +25,8 @@ r_d = sum over k | d of k * m_k as the rounds run.  A fiber leaves the
 live set once its uncounted degree r is below 2(d + 1), the stopping
 rule poly._ddf uses: every factor of degree <= d is counted, so r is
 zero or one irreducible factor.  Ramified fibers are delegated to the
-direct path, and a fixed subsample (first, middle, last) of every
-vectorized run is re-checked against it.
+direct path, and a fixed subsample (the first, middle and last unramified
+fiber) of every vectorized run is re-checked against it.
 
 Orbit reduction: when f has coefficients in GF(p^a), applying the
 Frobenius x -> x^(p^a) to f - t gives f - t^(p^a), so the two fibers
@@ -44,7 +44,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ff import FieldElem, embed, field_from_json, lift, log_p, make_field
+from .ff import (FieldElem, _frob_orbits, _frob_step, embed, field_from_json, lift, log_p,
+                 make_field)
 from .poly import UniPoly, factor
 
 # Exhaustive sampling is capped at this base-field size.
@@ -515,11 +516,11 @@ def _vector_shapes(fb, ts, branch_set):
             keep = ~done
             live, rest, mults = live[keep], rest[keep], mults[keep]
             B, H, red = B[keep], H[keep], red[:, keep]
-    # Spot-check a deterministic subsample against the direct path.
-    if len(ts) > VECTOR_SPOT_CHECKS:
-        picks = sorted({0, len(ts) // 2, len(ts) - 1})
-    else:
-        picks = range(len(ts))
+    # Spot-check the first, middle and last unramified fiber against the
+    # direct path; the ramified ones were factored directly above.
+    picks = [i for i, t in enumerate(ts_arr.tolist()) if t not in branch_set]
+    if len(picks) > VECTOR_SPOT_CHECKS:
+        picks = [picks[0], picks[len(picks) // 2], picks[-1]]
     for i in picks:
         if shapes[i] != _shape_one(fb, int(ts_arr[i])):
             raise ArithmeticError(
@@ -552,28 +553,10 @@ def _subfield_degree(fb):
             return a
 
 
-def _frobenius(ctx, a):
-    """x -> x^(p^a) on numpy arrays of packed indices."""
-    if ctx.p == 2:
-        return lambda x: ctx.vec.pow2(x, a)
-    q = ctx.p ** a
-    return lambda x: np.array([ctx.pow_(int(v), q) for v in x], dtype=np.int64)
-
-
-def _orbit_reps(ctx, a, ts):
-    """Least packed index in the orbit of each t under x -> x^(p^a)."""
-    frob = _frobenius(ctx, a)
-    cur = rep = np.asarray(ts, dtype=np.int64)
-    for _ in range(ctx.e // a - 1):
-        cur = frob(cur)
-        rep = np.minimum(rep, cur)
-    return rep
-
-
 def _check_orbit(fb, a, reps, shapes):
     """Factor the Frobenius image of one representative directly; its shape
     must be the representative's."""
-    imgs = _frobenius(fb.ctx, a)(np.asarray(reps, dtype=np.int64))
+    imgs = _frob_step(fb.ctx, a)(np.asarray(reps, dtype=np.int64))
     moved = np.flatnonzero(imgs != reps)
     if len(moved):
         i = int(moved[len(moved) // 2])
@@ -621,7 +604,7 @@ def chebotarev_sample(f, base, mode="exhaustive", n=None, seed=None, threads=1):
 
     # f - t and f - t^(p^a) have the same shape: factor one fiber per orbit
     a = _subfield_degree(fb)
-    reps, mult = np.unique(_orbit_reps(base, a, ts), return_counts=True)
+    reps, mult = np.unique(_frob_orbits(base, a, ts)[0], return_counts=True)
     reps = [int(r) for r in reps]
     if threads > 1 and len(reps) >= 4 * VECTOR_MIN_FIBERS:
         step = -(-len(reps) // threads)

@@ -47,8 +47,6 @@ __all__ = [
     "Factorization",
     "factor",
     "roots",
-    "upoly_arith",
-    "bipoly_arith",
 ]
 
 
@@ -443,14 +441,6 @@ class BiPoly:
     def Y(cls, ctx):
         return cls(ctx, {(0, 1): 1})
 
-    @classmethod
-    def from_terms(cls, ctx, triples):
-        terms = {}
-        for i, j, c in triples:
-            c = c.i if isinstance(c, FieldElem) else int(c)
-            terms[(i, j)] = ctx.add(terms.get((i, j), 0), c)
-        return cls(ctx, terms)
-
     @property
     def degx(self):
         return max((i for i, _ in self.terms), default=-1)
@@ -548,20 +538,6 @@ class BiPoly:
             out = out + term
         return out
 
-    def subst_uni(self, fx, fy):
-        """Collapse to a univariate: X := fx(T), Y := fy(T)."""
-        _same_field(fx.ctx, self.ctx)
-        _same_field(fy.ctx, self.ctx)
-        ctx = self.ctx
-        dx = max(self.degx, 0)
-        dy = max(self.degy, 0)
-        fx_p = _upow_table(fx, dx)
-        fy_p = _upow_table(fy, dy)
-        out = UniPoly.zero(ctx)
-        for (i, j), c in self.terms.items():
-            out = out + (fx_p[i] * fy_p[j]).scale(c)
-        return out
-
     def swap_vars(self):
         return BiPoly(self.ctx, {(j, i): c for (i, j), c in self.terms.items()})
 
@@ -593,41 +569,3 @@ def _pow_table(b, n):
     for _ in range(n):
         out.append(out[-1] * b)
     return out
-
-
-def _upow_table(f, n):
-    out = [UniPoly.one(f.ctx)]
-    for _ in range(n):
-        out.append(out[-1] * f)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# spec-shaped dispatchers
-
-def upoly_arith(kind, f, g=None, n=None):
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    if kind == "divmod":
-        return divmod(f, g)
-    if kind == "gcd":
-        return f.gcd(g)
-    if kind == "pow_mod":
-        return f.pow_mod(n, g)
-    raise ValueError(f"unknown upoly_arith kind {kind!r}")
-
-
-def bipoly_arith(kind, a, b=None, **kw):
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "eq":
-        return a == b
-    if kind == "subst_uni":
-        return a.subst_uni(kw["fx"], kw["fy"])
-    raise ValueError(f"unknown bipoly_arith kind {kind!r}")

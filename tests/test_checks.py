@@ -91,6 +91,11 @@ def test_shared_check_fails_on_a_wrong_library_value(name, monkeypatch):
     assert ok is False, (name, data)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_dickson_identity_fails_without_samples(samples):
+    assert checks.dickson_identity(1, samples) == (False, {"samples": 0, "max_degree": 11})
+
+
 def test_shape_inclusion_names_a_foreign_shape():
     ok, data = checks.shape_inclusion(FOREIGN, 8, 2)
     assert ok is False and data["foreign_shapes"] == [[28]]

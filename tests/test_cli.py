@@ -208,6 +208,14 @@ def test_check_identities_passes_and_reports(tmp_path, capsys):
     assert scrub_seconds(rep2) == scrub_seconds(rep)
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_identities_refuses_no_samples(capsys, samples):
+    code, rep, _ = run_json(capsys, [
+        "check-identities", "--q", "4", "--seed", "1", "--samples", samples])
+    assert code == 3
+    assert rep["checks"][-1]["data"]["guard"].startswith("identities-samples")
+
+
 # ---------------------------------------------------------------------------
 # weil and certify
 

@@ -1,6 +1,7 @@
 """Field arithmetic: construction, axioms, Frobenius, embeddings, traces."""
 
 import ast
+import operator
 import os
 import pathlib
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excpoly
-from excpoly import FieldElem, UniPoly, arith, embed, field_from_json, make_field, rel_trace
+from excpoly import FieldElem, UniPoly, embed, field_from_json, make_field, rel_trace
 from excpoly.ff import MAX_ORDER, FieldCtx, TABLE_LIMIT, is_prime, lift, log_p, prime_factors
 
 # every field here stays at or below 2^12 elements, so the per-element
@@ -145,28 +146,29 @@ def test_sqrt_is_inverse_of_squaring():
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(-20, 40))
 @settings(max_examples=120, deadline=None)
 def test_arith_dispatch_matches_operators(ai, bi, k):
+    """The FieldElem operators dispatch to the context's packed-index
+    arithmetic, and ctx.inv and ctx.frob agree with them."""
     ctx = make_field(3, 2)
     a = FieldElem(ctx, ai)
     b = FieldElem(ctx, bi)
-    assert arith("add", a, b) == a + b
-    assert arith("sub", a, b) == a - b
-    assert arith("mul", a, b) == a * b
-    assert arith("neg", a) == -a
-    assert arith("frob", a) == a**3
+    assert (a + b).i == ctx.add(ai, bi) and (a + b) - b == a
+    assert (a - b).i == ctx.sub(ai, bi)
+    assert (a * b).i == ctx.mul(ai, bi)
+    assert (-a).i == ctx.neg(ai) and a + -a == ctx.zero
+    assert FieldElem(ctx, ctx.frob(ai)) == a**3 == a * a * a
     if ai != 0:
-        assert arith("inv", a) * a == ctx.one
-        assert arith("pow", a, k) == a**k
+        assert FieldElem(ctx, ctx.inv(ai)) * a == ctx.one
+        assert a**k * a**-k == ctx.one and a**k == a**(k % 8)
     if bi != 0:
-        assert arith("div", a, b) * b == a
+        assert (a / b) * b == a
 
 
-def test_arith_rejects_unknown_kind_and_mixed_fields():
+def test_field_ops_reject_mixed_fields():
     a = make_field(2, 2).one
-    with pytest.raises(ValueError):
-        arith("xor", a, a)
     b = make_field(2, 3).one
-    with pytest.raises(ValueError):
-        arith("add", a, b)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            op(a, b)
 
 
 @pytest.mark.parametrize("p,e", [(2, 16), (3, 4)])
@@ -547,13 +549,47 @@ for argv, guard in (
 
 
 def test_ff_and_poly_hold_no_assert():
-    """Their checks (and monodromy's) raise named errors, so they hold under
-    python -O too."""
+    """Their checks (and those of monodromy, families and exceptional) raise
+    named errors, so they hold under python -O too."""
     src = pathlib.Path(excpoly.__file__).parent
-    for name in ("ff.py", "poly.py", "monodromy.py"):
+    for name in ("ff.py", "poly.py", "monodromy.py", "families.py", "exceptional.py"):
         tree = ast.parse((src / name).read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{name} asserts on lines {lines}"
+
+
+def _names_used(tree):
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_package_holds_no_dead_code():
+    """No module imports a name it never uses (re-exports through __all__
+    count as uses), and every module-level _private function is referenced
+    somewhere in the package."""
+    src = pathlib.Path(excpoly.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _names_used(tree)
+        referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                       for a in n.names}
+    dead = []
+    for name, tree in trees.items():
+        used = _names_used(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in _names_used(node):
+                used |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                dead += [f"{name}:{node.lineno} imports {a.asname or a.name}" for a in node.names
+                         if (a.asname or a.name).split(".")[0] not in used]
+        dead += [f"{name}:{node.lineno} defines {node.name}" for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                 and not node.name.startswith("__") and node.name not in referenced]
+    assert dead == []
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from excpoly import (
     make_field,
 )
 from excpoly import monodromy
-from excpoly.ff import lift
+from excpoly.ff import _frob_orbits, lift
 from excpoly.poly import factor
 
 G4 = make_field(2, 2)
@@ -288,7 +288,7 @@ def test_chebotarev_exhaustive_cap(monkeypatch):
 def test_chebotarev_threads_agree(monkeypatch):
     f = f_closed(8, FieldElem(G4, 2))
     base = make_field(2, 10)  # 1024 fibers in 208 orbits: enough for the pool
-    reps = np.unique(monodromy._orbit_reps(base, 2, range(base.order)))
+    reps = np.unique(_frob_orbits(base, 2, range(base.order))[0])
     assert len(reps) == 208 >= 4 * monodromy.VECTOR_MIN_FIBERS
     one = chebotarev_sample(f, base, threads=1)
     pools = []
@@ -368,13 +368,14 @@ def test_orbit_reduction_subfield_extremes(p, e, a, coeffs):
 def test_orbit_reps_are_least_in_orbit(p, e, a):
     ctx = make_field(p, e)
     ts = random.Random(e).sample(range(ctx.order), min(200, ctx.order))
-    got = monodromy._orbit_reps(ctx, a, ts)
-    for t, r in zip(ts, got.tolist()):
+    least, length = _frob_orbits(ctx, a, ts)
+    for t, r, n in zip(ts, least.tolist(), length.tolist()):
         orbit = [t]
         for _ in range(e // a - 1):
             orbit.append(ctx.pow_(orbit[-1], p ** a))
         assert ctx.pow_(orbit[-1], p ** a) == t
         assert r == min(orbit)
+        assert n == len(set(orbit))
 
 
 def test_shape_engine_runs_above_the_table_limit(monkeypatch):
@@ -397,6 +398,31 @@ def test_shape_engine_runs_above_the_table_limit(monkeypatch):
     # fibers the engine's own spot checks (first, middle, last) do not cover
     for i in (len(ts) // 4, 3 * len(ts) // 4):
         assert shapes[i] == monodromy._shape_one(fb, ts[i])
+
+
+def test_spot_checks_factor_unramified_fibers_once(monkeypatch):
+    """Over GF(4^4) the engine factors each ramified representative once,
+    spends its spot checks on unramified fibers, and no t is factored twice."""
+    f = f_closed(8, FieldElem(G4, 2))
+    base = make_field(2, 8)
+    reps = set(_frob_orbits(base, 2, range(base.order))[0].tolist())
+    ramified = {b.i for b in branch_points(f, base)} & reps
+    assert ramified and len(reps) >= monodromy.VECTOR_MIN_FIBERS
+    calls = []
+    shape_one = monodromy._shape_one
+
+    def spy(fb, t):
+        calls.append((sys._getframe(1).f_code.co_name, t))
+        return shape_one(fb, t)
+
+    monkeypatch.setattr(monodromy, "_shape_one", spy)
+    chebotarev_sample(f, base)
+    ts = [t for _, t in calls]
+    assert len(ts) == len(set(ts))
+    engine = [t for caller, t in calls if caller == "_vector_shapes"]
+    assert sorted(t for t in engine if t in ramified) == sorted(ramified)
+    # the rest are the spot checks, all unramified
+    assert len(engine) - len(ramified) == monodromy.VECTOR_SPOT_CHECKS
 
 
 def test_vector_engine_checks_survive_python_O():

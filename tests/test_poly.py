@@ -10,12 +10,10 @@ from excpoly import (
     BiPoly,
     FieldElem,
     UniPoly,
-    bipoly_arith,
     dickson,
     factor,
     make_field,
     roots,
-    upoly_arith,
 )
 
 G2 = make_field(2, 1)
@@ -43,7 +41,7 @@ def test_gcd_of_square_and_its_root():
     f = UniPoly(G2, (1, 0, 1))  # X^2 + 1 = (X + 1)^2
     g = UniPoly(G2, (1, 1))
     assert f.gcd(g) == g
-    assert upoly_arith("gcd", f, g) == g
+    assert g.gcd(f) == g
 
 
 def test_divmod_of_monomials():
@@ -295,7 +293,6 @@ def test_pow_mod_matches_naive():
         for _i in range(n):
             naive = (naive * f) % g
         assert f.pow_mod(n, g) == naive
-        assert upoly_arith("pow_mod", f, g, n=n) == naive
 
 
 def test_unipoly_json_wire_format():
@@ -305,11 +302,6 @@ def test_unipoly_json_wire_format():
     assert obj["coeffs"] == [3, 0, 5]
     assert obj["field"]["p"] == 2 and obj["field"]["e"] == 3
     assert UniPoly.from_json(obj) == f
-
-
-def test_upoly_arith_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        upoly_arith("spin", UniPoly.X(G2), UniPoly.X(G2))
 
 
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
@@ -332,15 +324,6 @@ def test_freshman_dream_in_two_variables():
     assert sq == BiPoly(G2, {(2, 0): 1, (0, 2): 1})
 
 
-def test_collapse_to_univariate():
-    x = BiPoly.X(G2)
-    y = BiPoly.Y(G2)
-    s = x.pow_(2) + y.pow_(2)
-    t = UniPoly.X(G2)
-    assert s.subst_uni(t, t).is_zero()
-    assert bipoly_arith("subst_uni", s, fx=t, fy=t).is_zero()
-
-
 def test_bipoly_mul_commutes_seeded():
     rng = random.Random(33)
     for _ in range(40):
@@ -358,7 +341,7 @@ def test_bipoly_mul_commutes_seeded():
                 for _k in range(3)
             },
         )
-        assert bipoly_arith("eq", a * b, b * a)
+        assert a * b == b * a
 
 
 def test_bipoly_stores_no_zero_terms():
@@ -408,8 +391,3 @@ def test_bipoly_json_terms_sorted():
     obj = a.to_json()
     assert obj["terms"] == sorted(obj["terms"])
     assert BiPoly.from_json(obj) == a
-
-
-def test_bipoly_arith_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        bipoly_arith("grad", BiPoly.X(G2))
