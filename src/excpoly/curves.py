@@ -21,15 +21,15 @@ rule out small genus alternatives.
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .ff import (VEC_CHUNK, FieldCtx, FieldElem, _frob_orbits, embed, field_from_json, lift,
-                 log_p, make_field)
+from .ff import (VEC_CHUNK, FieldCtx, FieldElem, _fan_out, _frob_orbits, _same_field, embed,
+                 lift, log_p, make_field)
 from .poly import BiPoly, UniPoly
 
 FIBER_GUARD = 1 << 24
@@ -67,8 +67,9 @@ class RatFn:
     def __init__(self, num, den=None, reduced=False):
         if den is None:
             den = UniPoly.one(num.ctx)
-        assert num.ctx == den.ctx
-        assert not den.is_zero(), "zero denominator"
+        _same_field(num.ctx, den.ctx)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
         if not reduced:
             num, den = _reduce_pair(num, den)
         self.num = num
@@ -95,7 +96,7 @@ class RatFn:
         return self.num.is_zero()
 
     def __add__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -104,12 +105,12 @@ class RatFn:
         return RatFn(num, self.den * other.den)
 
     def __sub__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         num = self.num * other.den - other.num * self.den
         return RatFn(num, self.den * other.den)
 
     def __mul__(self, other):
-        assert self.ctx == other.ctx
+        _same_field(self.ctx, other.ctx)
         if self.is_zero() or other.is_zero():
             return RatFn.zero(self.ctx)
         # cross-cancel so the final product is already coprime
@@ -135,12 +136,14 @@ class RatFn:
         return RatFn(self.num.scale(a), self.den, reduced=True)
 
     def inv(self):
-        assert not self.is_zero(), "inverting zero"
+        if self.is_zero():
+            raise ZeroDivisionError("inverting zero")
         return RatFn(self.den, self.num)
 
     def eval_index(self, x):
         d = self.den.eval_index(x)
-        assert d != 0, "evaluated at a pole"
+        if d == 0:
+            raise ZeroDivisionError("evaluated at a pole")
         return self.ctx.div(self.num.eval_index(x), d)
 
     def __eq__(self, other):
@@ -169,7 +172,8 @@ class FnField:
     """
 
     def __init__(self, ctx, q, A, B):
-        assert ctx.p == 2, "engine is specific to characteristic 2"
+        if ctx.p != 2:
+            raise ValueError(f"the engine is specific to characteristic 2, not {ctx!r}")
         e = log_p(q, 2)
         self.ctx = ctx
         self.q = q
@@ -186,7 +190,8 @@ class FnField:
         """Element from a {degree: RatFn} mapping, degrees below q."""
         out = [self._z] * self.q
         for i, r in coeffs.items():
-            assert 0 <= i < self.q
+            if not 0 <= i < self.q:
+                raise ValueError(f"degree {i} lies outside [0, {self.q})")
             out[i] = r
         return tuple(out)
 
@@ -307,9 +312,11 @@ def _cover_params(alpha, beta, e=1):
 
 def _unit_root(ctx, n):
     """An element of exact multiplicative order n (n must divide ctx.order - 1)."""
-    assert (ctx.order - 1) % n == 0
+    if (ctx.order - 1) % n:
+        raise ValueError(f"{n} does not divide the {ctx.order - 1} units of {ctx!r}")
     g = ctx.pow_(ctx.gen, (ctx.order - 1) // n)
-    assert ctx.pow_(g, n) == 1
+    if ctx.pow_(g, n) != 1:
+        raise ArithmeticError(f"the root of unity of order {n} does not have order {n}")
     return g
 
 
@@ -458,15 +465,18 @@ def sl2_certificate(q, alpha, beta=None):
     # the residual of 1c is always (a^2 + a + b^2) / w^(q-1)
     residual = E.add(lhs_c, rhs_c)
     expected = E.const(RatFn(UniPoly.const(amb, defect), wq1))
-    assert residual == expected, "hat-identity residual disagrees with the closed form"
+    if residual != expected:
+        raise ArithmeticError("hat-identity residual disagrees with the closed form")
     ok1 = ok_1a and ok_1b and ok_1c
 
     # step 2
     g = _unit_root(amb, q + 1)
     ginv = amb.inv(g)
     d_idx = amb.add(g, ginv)
-    assert d_idx != 0 and amb.pow_(d_idx, q) == d_idx, "g + 1/g must lie in GF(q)*"
-    assert _scalar_T(amb, amb.inv(amb.mul(d_idx, d_idx)), e) == 1
+    if d_idx == 0 or amb.pow_(d_idx, q) != d_idx:
+        raise ArithmeticError("g + 1/g must lie in GF(q)*")
+    if _scalar_T(amb, amb.inv(amb.mul(d_idx, d_idx)), e) != 1:
+        raise ArithmeticError("T(1 / (g + 1/g)^2) must be 1")
     dinv = amb.inv(d_idx)
     y_el = E.add(E.add(E.scale_c(vhat, amb.mul(g, dinv)),
                        E.const(wh.scale(amb.mul(ginv, dinv)))),
@@ -529,7 +539,8 @@ def sl2_certificate(q, alpha, beta=None):
         # the root parameter W = r names the projective point [g^2 + g r : 1 : r]
         y0 = amb.add(g2, amb.mul(g, r))
         p0 = (y0, 1, r)
-        assert _plane_eval_proj(q, e, amb, c_idx, p0) == 0
+        if _plane_eval_proj(q, e, amb, c_idx, p0) != 0:
+            raise ArithmeticError("the moved point misses the plane curve")
         ok_moved = True
         for k in range(1, q + 1):
             eta = amb.pow_(g, k)
@@ -717,24 +728,27 @@ def smoothness_check(model):
         val = _plane_eval_proj(q, e, work, c, (y, z, 1))
         if val == 0:
             # partials vanish by construction; record the point
-            assert work.add(work.pow_(y, q), z) == 0
-            assert work.add(work.pow_(z, q), y) == 0
+            if work.add(work.pow_(y, q), z) or work.add(work.pow_(z, q), y):
+                raise ArithmeticError("a partial derivative misses a singular candidate")
             singular.append((FieldElem(work, y), FieldElem(work, z)))
     mu = _unit_root(work, q + 1)
     for k in range(q + 1):
         u = work.pow_(mu, k)
         wpart = work.pow_(u, q // 2)         # (Y Z)^(q/2) at [u : 1 : 0]
-        assert wpart != 0
+        if wpart == 0:
+            raise ArithmeticError("a point at infinity is singular")
     return (not singular), singular
 
 
 # ---------------------------------------------------------------------------
 # vectorized counting
 
+@functools.cache
 def _quadratic_maps(vf):
     """x^2 + x = d on arrays, as two F_2-linear maps of d: a root x, and a
     residual that is 0 exactly where d lies in the image, i.e. where x solves
-    it.  Both come from one Gauss elimination of the basis images."""
+    it.  Both come from one Gauss elimination of the basis images, made once
+    per VecField."""
     ctx = vf.ctx
     pivots = {}
     for j in range(vf.N):
@@ -768,7 +782,7 @@ def _ext_with_param(model, m):
     return ext, tuple(up.apply(p) for p in model.params)
 
 
-def _count_plane_fiber_range(vf, quadratic, q, e, c, n, a, d, lo, hi):
+def _count_plane_fiber_range(ctx, q, e, c, n, a, d, lo, hi):
     """Count affine points with y, z != 0 whose product u = yz lies in [lo, hi).
 
     For fixed u the equation collapses to s^2 + (T(u) + c) s + u^(q+1) = 0
@@ -777,14 +791,14 @@ def _count_plane_fiber_range(vf, quadratic, q, e, c, n, a, d, lo, hi):
     A = 2^a the ambient order, carries the fiber of u onto the fiber of u^A,
     so only the least u of each orbit under u -> u^A is counted, weighted by
     the orbit length.  s is an n-th power iff its norm to GF(2^d) is, for n
-    dividing 2^d - 1.  quadratic is _quadratic_maps(vf).  Returns (count,
-    the summed weights).
+    dividing 2^d - 1.  Returns (count, the summed weights).
     """
+    vf = ctx.vec
     N = vf.N
     if N % a or N % d or (2**d - 1) % n:
         raise ArithmeticError(f"degrees a = {a}, d = {d} do not fit GF(2^{N}) and n = {n}")
     u = np.arange(max(lo, 1), hi, dtype=np.int64)
-    least, weight = _frob_orbits(vf.ctx, a, u)
+    least, weight = _frob_orbits(ctx, a, u)
     u, weight = u[least == u], weight[least == u]
     if u.size == 0:
         return 0, 0
@@ -797,7 +811,7 @@ def _count_plane_fiber_range(vf, quadratic, q, e, c, n, a, d, lo, hi):
     b, uq1, w = b[nz], uq1[nz], weight[nz]
     if b.size:
         dd = vf.mul(uq1, vf.sq(vf.inv(b)))
-        root, residual = quadratic
+        root, residual = _quadratic_maps(vf)
         good = residual(dd) == 0
         b, dd, w = b[good], dd[good], w[good]
         if b.size:
@@ -810,11 +824,6 @@ def _count_plane_fiber_range(vf, quadratic, q, e, c, n, a, d, lo, hi):
     return total, int(weight.sum())
 
 
-def _plane_worker(field_json, q, e, c, n, a, d, lo, hi):
-    vf = field_from_json(field_json).vec
-    return _count_plane_fiber_range(vf, _quadratic_maps(vf), q, e, c, n, a, d, lo, hi)
-
-
 def _count_plane_fiber(q, e, ext, c, n, a, threads):
     Q = ext.order
     N = ext.e
@@ -823,17 +832,9 @@ def _count_plane_fiber(q, e, ext, c, n, a, threads):
     total = n                                 # points at infinity
     if ext.pow_(c, (Q - 1) // n) == 1:        # y = 0 and z = 0 sections
         total += 2 * n
-    chunk = VEC_CHUNK
-    spans = [(lo, min(lo + chunk, Q)) for lo in range(1, Q, chunk)]
-    if threads > 1 and len(spans) > 1:
-        field_json = ext.to_json()
-        with multiprocessing.Pool(threads) as pool:
-            parts = pool.starmap(_plane_worker, [
-                (field_json, q, e, c, n, a, d, lo, hi) for lo, hi in spans])
-    else:
-        quadratic = _quadratic_maps(ext.vec)
-        parts = [_count_plane_fiber_range(ext.vec, quadratic, q, e, c, n, a, d, lo, hi)
-                 for lo, hi in spans]
+    parts = _fan_out(_count_plane_fiber_range, [
+        (ext, q, e, c, n, a, d, lo, min(lo + VEC_CHUNK, Q)) for lo in range(1, Q, VEC_CHUNK)],
+        threads)
     if sum(w for _, w in parts) != Q - 1:
         raise ArithmeticError(f"orbit weights do not sum to the {Q - 1} values of u")
     return total + sum(t for t, _ in parts)

@@ -19,15 +19,14 @@ measurement instead of asserting one in terms of the other.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import FamilySpec, _require
-from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, field_from_json, is_prime, lift,
-                 log_p, make_field, prime_factors)
+from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, _fan_out, field_from_json, is_prime,
+                 lift, log_p, make_field, prime_factors)
 
 #: Default cap on the size of any single exhaustively enumerated field.
 SIZE_GUARD = MAX_ORDER
@@ -54,10 +53,6 @@ def _eval_block(ctx, coeffs, lo, hi):
     return out
 
 
-def _perm_worker(field_json, coeffs, lo, hi):
-    return _eval_block(field_from_json(field_json), coeffs, lo, hi)
-
-
 def _vector_blocks(coeffs, field):
     """(lo, values) blocks of f(x) over a characteristic-2 field, in index
     order, by one vectorized Horner pass per VEC_CHUNK elements."""
@@ -68,27 +63,6 @@ def _vector_blocks(coeffs, field):
         for c in reversed(coeffs):
             acc = vf.mul(acc, x) ^ c
         yield lo, acc.tolist()
-
-
-def _eval_all(coeffs, field, threads):
-    """f(x) for every x in an odd-characteristic field, as packed indices.
-
-    The domain is split into contiguous spans, one per worker; spans are
-    concatenated back in domain order, so the result does not depend on the
-    number of workers.
-    """
-    n = field.order
-    if threads <= 1 or n < _PARALLEL_FLOOR:
-        return _eval_block(field, coeffs, 0, n)
-    step = -(-n // threads)
-    spans = [(field.to_json(), tuple(coeffs), lo, min(lo + step, n))
-             for lo in range(0, n, step)]
-    with multiprocessing.Pool(threads) as pool:
-        blocks = pool.starmap(_perm_worker, spans)
-    out = array("i")
-    for block in blocks:
-        out.extend(block)
-    return out
 
 
 def is_permutation(f, field, threads=1, guard=SIZE_GUARD):
@@ -107,7 +81,12 @@ def is_permutation(f, field, threads=1, guard=SIZE_GUARD):
     if field.p == 2:
         blocks = _vector_blocks(g.c, field)
     else:
-        blocks = [(0, _eval_all(g.c, field, max(1, int(threads))))]
+        # odd characteristic: one contiguous span per worker, in domain order
+        n = field.order
+        step = -(-n // threads) if threads > 1 and n >= _PARALLEL_FLOOR else n
+        los = range(0, n, step)
+        blocks = zip(los, _fan_out(
+            _eval_block, [(field, g.c, lo, min(lo + step, n)) for lo in los], threads))
     first = array("i", [-1]) * field.order
     for lo, vals in blocks:
         for x, v in enumerate(vals, lo):

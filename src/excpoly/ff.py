@@ -17,7 +17,9 @@ characteristic p, so with the rows X^(p*i) mod g tabled once (_frob_rows),
 a^p mod g (_frobmod) is a coefficient power per term plus a sum of rows,
 about m^2 / 2 products for p = 2 and m = deg g instead of the 2 m^2 of a
 square and its reduction.  Binary square-and-multiply is the reference
-for it in tests/test_frobenius.py.
+for it in tests/test_frobenius.py.  The one equal-degree splitter, _edf,
+serves poly.factor and poly.roots and roots the moduli for embeddings, and
+_fan_out is the one process fan-out behind --threads.
 
 Checks raise named errors, never assert: ValueError for bad arguments
 (mixed fields, wrong embedding domains), ArithmeticError for a broken
@@ -32,6 +34,8 @@ first 13 prime bases, a proof of primality below 3.3 * 10^24.
 from __future__ import annotations
 
 import functools
+import multiprocessing
+import random
 
 import numpy as np
 
@@ -329,38 +333,31 @@ def _trace_map(ctx, r, k, g, rows):
     return s
 
 
-def _split_roots(ctx, g):
-    """All roots in ctx of a monic squarefree g that splits into linear factors.
-
-    Fields of at most 2^12 elements are enumerated.  Larger ones split g by
-    gcd with the trace of uX along a basis of u in characteristic 2, and with
-    (X + a)^((Q-1)/2) - 1 for a = 0, 1, ... in odd characteristic
-    (Cantor-Zassenhaus).
+def _edf(ctx, g, d, rng):
+    """The monic irreducible factors, as lists, of a monic squarefree g whose
+    factors all have degree d (Cantor-Zassenhaus).  Each draw of deg g
+    coefficients r from rng (skipped below degree 1) splits g by a gcd with
+    the trace map of r (p = 2) or with r^((Q^d - 1) / 2) - 1; the monic gcd
+    goes left, its cofactor right, so the list depends on the seed alone.
     """
-    if ctx.order <= 1 << 12:
-        return [a for a in range(ctx.order) if _eval(ctx, g, a) == 0]
-    found = []
-    stack = [g]
-    while stack:
-        g = stack.pop()
-        d = len(g) - 1
-        if d == 1:
-            found.append(ctx.neg(g[0]))
-        if d <= 1:
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    rows = _frob_rows(ctx, g)
+    while True:
+        r = _norm([rng.randrange(ctx.order) for _ in range(n)])
+        if len(r) < 2:
             continue
-        rows = _frob_rows(ctx, g)
-        for a in range(ctx.e if ctx.p == 2 else ctx.order):
-            if ctx.p == 2:
-                s = _trace_map(ctx, [0, 1 << a], ctx.e, g, rows)
-            else:
-                s = _sub(ctx, _powmod(ctx, [a, 1], (ctx.order - 1) // 2, g, rows), [1])
-            h = _gcd(ctx, s, g)
-            if 0 < len(h) - 1 < d:
-                stack += [h, _divmod(ctx, g, h)[0]]
-                break
+        if ctx.p == 2:
+            s = _trace_map(ctx, r, ctx.e * d, g, rows)
         else:
-            raise ArithmeticError("root splitting failed; g is not squarefree and split")
-    return found
+            s = _sub(ctx, _powmod(ctx, r, (ctx.order**d - 1) // 2, g, rows), [1])
+        h = _gcd(ctx, g, s)
+        if 0 < len(h) - 1 < n:
+            right, rem = _divmod(ctx, g, h)
+            if rem:
+                raise ArithmeticError("division was not exact")
+            return _edf(ctx, h, d, rng) + _edf(ctx, right, d, rng)
 
 
 def _is_irreducible(f, pf):
@@ -571,7 +568,7 @@ class FieldCtx:
         base = a
         while k:
             if k & 1:
-                r = self._mul_raw(r, base)
+                r = base if r == 1 else self._mul_raw(r, base)
             k >>= 1
             if k:
                 base = self._mul_raw(base, base)
@@ -643,6 +640,10 @@ class FieldCtx:
 
     def to_json(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
+
+    def __reduce__(self):
+        # pickles (for worker processes) carry the wire form, not log tables
+        return field_from_json, (self.to_json(),)
 
     def __eq__(self, other):
         return (
@@ -919,6 +920,17 @@ def field_from_json(obj):
     return FieldCtx(p, e, modulus)
 
 
+def _fan_out(fn, jobs, threads):
+    """[fn(*job) for job in a list of jobs], in order; on a multiprocessing.Pool(threads)
+    when threads > 1 and there are 2 jobs or more.  fn is then module-level,
+    and a FieldCtx in a job is pickled as its wire form (FieldCtx.__reduce__).
+    """
+    if threads > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(threads) as pool:
+            return pool.starmap(fn, jobs)
+    return [fn(*job) for job in jobs]
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -948,7 +960,9 @@ class Embedding:
         cand = sup.pow_(sup.gen, (sup.order - 1) // (sub.order - 1))
         if _eval(sup, sub.modulus, cand) == 0:
             return cand
-        return min(_split_roots(sup, list(sub.modulus)))
+        # the modulus splits into distinct linear factors X - root over sup;
+        # the least root does not depend on the draws
+        return min(sup.neg(h[0]) for h in _edf(sup, list(sub.modulus), 1, random.Random(0)))
 
     def apply(self, a):
         sup = self.sup

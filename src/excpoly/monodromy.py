@@ -35,16 +35,17 @@ element of its orbit, computes shapes once per representative, and weights
 each by the number of t in its orbit, which gives exactly the distribution
 of one fiber per t.  One representative's Frobenius image is factored
 directly on every run as a check; _shapes_for(fb, ts) stays the unreduced
-engine and the test oracle.
+engine and the test oracle.  An exhaustive run also checks a conservation
+law: each x in the base is a root of exactly one fiber f - f(x), so the
+orbit weights times the linear factors of the shapes sum to the base size.
 """
 
-import multiprocessing
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from .ff import (FieldElem, _frob_orbits, _frob_step, embed, field_from_json, lift, log_p,
+from .ff import (FieldElem, _fan_out, _frob_orbits, _frob_step, embed, lift, log_p,
                  make_field)
 from .poly import UniPoly, factor
 
@@ -566,15 +567,6 @@ def _check_orbit(fb, a, reps, shapes):
                 "different shapes" % (reps[i], int(imgs[i])))
 
 
-def _cheb_worker(payload):
-    f_json, ctx_json, ts = payload
-    base = field_from_json(ctx_json)
-    fb = UniPoly.from_json(f_json)
-    if fb.ctx != base:
-        raise ValueError("polynomial field %r is not the base %r" % (fb.ctx, base))
-    return _shapes_for(fb, ts)
-
-
 def chebotarev_sample(f, base, mode="exhaustive", n=None, seed=None, threads=1):
     """Empirical distribution of fiber factorization shapes of f over base.
 
@@ -582,7 +574,9 @@ def chebotarev_sample(f, base, mode="exhaustive", n=None, seed=None, threads=1):
     mode "sampled" draws n distinct t values with the given seed.
     Every fiber contributes the radical shape of f - t, ramified fibers
     included; use CycleDist.unramified() to restrict before a
-    Chebotarev comparison.
+    Chebotarev comparison.  An exhaustive run checks that the weighted
+    linear factors number the base's elements (ArithmeticError otherwise).
+    threads > 1 splits the representatives across worker processes.
     """
     fb = lift(f, base)
     if fb.degree < 1:
@@ -608,19 +602,21 @@ def chebotarev_sample(f, base, mode="exhaustive", n=None, seed=None, threads=1):
     reps = [int(r) for r in reps]
     if threads > 1 and len(reps) >= 4 * VECTOR_MIN_FIBERS:
         step = -(-len(reps) // threads)
-        jobs = [
-            (fb.to_json(), base.to_json(), reps[i: i + step])
-            for i in range(0, len(reps), step)
-        ]
-        with multiprocessing.Pool(threads) as pool:
-            parts = pool.map(_cheb_worker, jobs)
-        shapes = [sh for part in parts for sh in part]
     else:
-        shapes = _shapes_for(fb, reps)
+        step = len(reps)
+    parts = _fan_out(_shapes_for, [(fb, reps[i: i + step]) for i in range(0, len(reps), step)],
+                     threads)
+    shapes = [sh for part in parts for sh in part]
     _check_orbit(fb, a, reps, shapes)
+    mult = mult.tolist()
+    # every x in the base lies in exactly one fiber, that of t = f(x), as one
+    # linear factor of f - t: the linear factors over all fibers number |base|
+    if mode == "exhaustive" and sum(c * sh.count(1) for sh, c in zip(shapes, mult)) != size:
+        raise ArithmeticError("the linear factors over all fibers do not number the %d "
+                              "elements of the base" % size)
 
     counts = {}
-    for sh, c in zip(shapes, mult.tolist()):
+    for sh, c in zip(shapes, mult):
         counts[sh] = counts.get(sh, 0) + c
     total = len(ts)
     return CycleDist(

@@ -3,14 +3,16 @@
 Coefficients are stored as packed integer indices (see ff).  UniPoly is
 an immutable coefficient tuple, low degree first, with no trailing
 zeros; BiPoly is a sparse {(i, j): coeff} map in two variables X and Y.
-The raw list kernels (_mul, _divmod, _powmod, ...) and the root splitter
-live in ff, which also runs them over GF(p) to check field moduli.
+The raw list kernels (_mul, _divmod, _powmod, ...) and the one
+equal-degree splitter _edf live in ff, which also runs them over GF(p) to
+check field moduli and to root the moduli of subfields.
 
 Factorization is squarefree decomposition, distinct-degree splitting by
-X^(Q^d) mod g, and Cantor-Zassenhaus equal-degree splitting (a trace map
-in characteristic 2).  Every p-th power in these steps is one Frobenius-row
-step of ff: a^p mod g = sum a_i^p (X^(p*i) mod g), with the row table built
-once per g in _edf and reused across its random draws.  Powers are exact
+X^(Q^d) mod g, and ff._edf's Cantor-Zassenhaus equal-degree splitting (a
+trace map in characteristic 2); roots reads the linear factors.  Every
+p-th power in these steps is one Frobenius-row step of ff:
+a^p mod g = sum a_i^p (X^(p*i) mod g), with the row table built once per g
+in _edf and reused across its random draws.  Powers are exact
 remainders, so the draws and hence the factor list depend on the seed
 alone, not on how the powers are formed.
 Mixed fields and negative exponents raise ValueError; an inexact
@@ -26,6 +28,7 @@ from .ff import (
     _add,
     _deriv,
     _divmod,
+    _edf,
     _eval,
     _frob_rows,
     _gcd,
@@ -34,9 +37,7 @@ from .ff import (
     _neg,
     _powmod,
     _same_field,
-    _split_roots,
     _sub,
-    _trace_map,
     field_from_json,
     lift,
 )
@@ -335,31 +336,6 @@ def _ddf(g):
     return out
 
 
-def _edf(g, d, rng):
-    """Split monic squarefree g, all factors of degree d, into irreducibles."""
-    ctx = g.ctx
-    if g.degree == d:
-        return [g]
-    n = g.degree
-    gc = list(g.c)
-    rows = _frob_rows(ctx, gc)
-    while True:
-        r = UniPoly(ctx, [rng.randrange(ctx.order) for _ in range(n)])
-        if r.degree < 1:
-            continue
-        if ctx.p == 2:
-            # trace map into GF(2) relative to the degree-d factor fields
-            s = _trace_map(ctx, list(r.c), ctx.e * d, gc, rows)
-        else:
-            expo = (ctx.order**d - 1) // 2
-            s = _sub(ctx, _powmod(ctx, list(r.c), expo, gc, rows), [1])
-        h = g.gcd(UniPoly(ctx, s))
-        if 0 < h.degree < n:
-            left = h.monic()
-            right = g.exact_div(left)
-            return _edf(left, d, rng) + _edf(right, d, rng)
-
-
 def factor(f, seed=0):
     """Full factorization of f, deterministic for a fixed seed."""
     if f.is_zero():
@@ -373,8 +349,8 @@ def factor(f, seed=0):
     work = f.monic()
     for g, m in _squarefree_decomp(work):
         for prod, d in _ddf(g):
-            for irr in _edf(prod, d, rng):
-                out.append((irr, m))
+            for irr in _edf(ctx, list(prod.c), d, rng):
+                out.append((UniPoly(ctx, irr), m))
     fact = Factorization(ctx, unit, out)
     return fact
 
@@ -383,30 +359,14 @@ def roots(f, field):
     """Roots of f in the given field, with multiplicities.
 
     The field may be an extension of the coefficient field; returns a list
-    of (FieldElem, multiplicity) sorted by packed index.
+    of (FieldElem, multiplicity) sorted by packed index: the linear factors
+    X - r of f over the field, with their multiplicities in factor.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no root list")
-    f = lift(f, field)
-    g = f.monic()
-    # radical of the part splitting over `field`
-    xq = UniPoly.X(field).pow_mod(field.order, g)
-    rad = g.gcd(xq - UniPoly.X(field))
-    out = []
-    for r in sorted(_split_roots(field, list(rad.c))):
-        m = 0
-        lin = UniPoly(field, (field.neg(r), 1))
-        work = f
-        while True:
-            q, rem = divmod(work, lin)
-            if not rem.is_zero():
-                break
-            m += 1
-            work = q
-        if m < 1:
-            raise ArithmeticError(f"root {r} of the radical does not divide f")
-        out.append((FieldElem(field, r), m))
-    return out
+    return sorted(((FieldElem(field, field.neg(g.c[0])), m)
+                   for g, m in factor(lift(f, field)) if g.degree == 1),
+                  key=lambda rm: rm[0].i)
 
 
 # ---------------------------------------------------------------------------

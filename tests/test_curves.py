@@ -14,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import excpoly
 from excpoly import (
     FieldElem,
     ZetaData,
@@ -190,6 +191,42 @@ def test_smoothness_rejects_cover_model():
         smoothness_check(artin_schreier_model(8, FieldElem(G4, 2), FieldElem(G2, 1)))
 
 
+# the function-field engine and the certificates raise named errors, never
+# assert, so they hold under python -O too
+
+def test_engine_input_errors_are_value_errors():
+    one = curves.RatFn.one(G4)
+    with pytest.raises(ValueError, match="mixed fields"):
+        one + curves.RatFn.one(G16)
+    with pytest.raises(ValueError, match="mixed fields"):
+        curves.RatFn(excpoly.UniPoly.one(G4), excpoly.UniPoly.one(G16))
+    g3 = make_field(3, 1)
+    with pytest.raises(ValueError, match="characteristic 2"):
+        curves.FnField(g3, 4, curves.RatFn.one(g3), curves.RatFn.one(g3))
+    with pytest.raises(ValueError, match="outside"):
+        curves.FnField(G4, 4, one, one).elem({4: one})
+    with pytest.raises(ValueError, match="does not divide"):
+        curves._unit_root(G16, 4)
+
+
+def test_engine_division_by_zero_is_zero_division_error():
+    X, one, zero = (excpoly.UniPoly.X(G4), excpoly.UniPoly.one(G4), excpoly.UniPoly.zero(G4))
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        curves.RatFn(one, zero)
+    with pytest.raises(ZeroDivisionError, match="inverting zero"):
+        curves.RatFn.zero(G4).inv()
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        curves.RatFn(one, X).eval_index(0)
+
+
+def test_certificate_invariants_raise_arithmetic_error(monkeypatch):
+    # a "root of unity" of 0 puts a singular point at infinity
+    monkeypatch.setattr(curves, "_unit_root", lambda ctx, n: 0)
+    with pytest.raises(ArithmeticError, match="point at infinity") as err:
+        smoothness_check(plane_model(4, FieldElem(G16, 2)))
+    assert err.type is ArithmeticError
+
+
 # ---------------------------------------------------------------------------
 # point counting
 
@@ -214,16 +251,19 @@ def test_count_strategies_agree_on_small_extensions():
 def test_count_fiber_pool_matches_one_process(monkeypatch):
     model = plane_model(4, FieldElem(G16, 2))
     pools = []
-    real_pool = curves.multiprocessing.Pool
+    real_pool = excpoly.ff.multiprocessing.Pool
 
     def spy(processes, *args, **kwargs):
         pools.append(processes)
         return real_pool(processes, *args, **kwargs)
 
-    monkeypatch.setattr(curves.multiprocessing, "Pool", spy)
+    monkeypatch.setattr(excpoly.ff.multiprocessing, "Pool", spy)
     one = count_points(model, 4, threads=1)      # 2^16 values of u: 4 spans
     assert pools == []
     assert count_points(model, 4, threads=2) == one
+    assert pools == [2]
+    # threads 0 (or below) stays serial, as 1 does
+    assert count_points(model, 4, threads=0) == one
     assert pools == [2]
 
 
@@ -295,10 +335,9 @@ def test_norm_power_test_matches_pow(e):
 
 def test_counter_self_checks_raise(monkeypatch):
     model = plane_model(4, FieldElem(G16, 2))
-    vf = make_field(2, 8).vec
     # the norm degree must carry the n-th roots of unity: 5 does not divide 2^2 - 1
     with pytest.raises(ArithmeticError):
-        curves._count_plane_fiber_range(vf, curves._quadratic_maps(vf), 4, 2, 2, 5, 4, 2, 1, 256)
+        curves._count_plane_fiber_range(make_field(2, 8), 4, 2, 2, 5, 4, 2, 1, 256)
     # orbit weights that miss a value of u
     real = curves._count_plane_fiber_range
 

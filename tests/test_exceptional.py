@@ -109,6 +109,11 @@ def test_is_permutation_threads_agree(monkeypatch):
         assert is_permutation(f3, g3, threads=2) == is_permutation(f3, g3, threads=1)
         assert is_permutation(f3, g3)[0] == (d == 7)
     assert pools == [2, 2]
+    # threads 0 stays serial, as 1 does
+    for d in (5, 7):
+        f3 = UniPoly.monomial(make_field(3, 1), d)
+        assert is_permutation(f3, g3, threads=0) == is_permutation(f3, g3, threads=1)
+    assert pools == [2, 2]
 
 
 @pytest.mark.parametrize("e", list(range(1, 13)) + [17])

@@ -4,6 +4,7 @@ import ast
 import operator
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -56,6 +57,19 @@ def test_field_json_round_trip():
         assert obj["p"] == p and obj["e"] == e
         assert len(obj["modulus"]) == e + 1 and obj["modulus"][-1] == 1
         assert field_from_json(obj) is ctx
+
+
+def test_field_pickles_as_its_wire_form():
+    ctx = make_field(2, 16)
+    blob = pickle.dumps(ctx)
+    assert pickle.loads(blob) is ctx
+    assert len(blob) < 200          # no log tables cross a process boundary
+    other = FieldCtx(2, 4, (1, 0, 0, 1, 1))
+    assert other != make_field(2, 4)
+    back = pickle.loads(pickle.dumps(other))
+    assert back == other and back.modulus == other.modulus
+    f = UniPoly(other, (3, 0, 7, 1))
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_generator_order_in_gf16():
@@ -115,6 +129,22 @@ def test_frobenius_order_is_exactly_e(p, e):
         d = e // ell
         moved = any(ctx.pow_(a, p**d) != a for a in ctx.elements())
         assert moved, f"frobenius^{d} already fixes GF({p}^{e})"
+
+
+def test_frob_above_the_tables_is_one_product(monkeypatch):
+    ctx = make_field(2, 18)
+    assert ctx._log is None
+    real = FieldCtx._mul_raw
+    calls = []
+
+    def spy(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "_mul_raw", spy)
+    a = 123457
+    assert ctx.frob(a) == real(ctx, a, a)
+    assert calls == [(a, a)]
 
 
 def test_pow_and_frobenius_agree_in_gf8():
@@ -549,13 +579,14 @@ for argv, guard in (
 
 
 def test_ff_and_poly_hold_no_assert():
-    """Their checks (and those of monodromy, families and exceptional) raise
-    named errors, so they hold under python -O too."""
-    src = pathlib.Path(excpoly.__file__).parent
-    for name in ("ff.py", "poly.py", "monodromy.py", "families.py", "exceptional.py"):
-        tree = ast.parse((src / name).read_text())
+    """The checks of every module of the package raise named errors, so they
+    hold under python -O too."""
+    paths = sorted(pathlib.Path(excpoly.__file__).parent.glob("*.py"))
+    assert {"ff.py", "poly.py", "curves.py"} <= {path.name for path in paths}
+    for path in paths:
+        tree = ast.parse(path.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert lines == [], f"{name} asserts on lines {lines}"
+        assert lines == [], f"{path.name} asserts on lines {lines}"
 
 
 def _names_used(tree):

@@ -302,6 +302,10 @@ def test_chebotarev_threads_agree(monkeypatch):
     two = chebotarev_sample(f, base, threads=2)
     assert pools == [2]
     assert one == two
+    # threads 0 stays serial, as 1 does
+    g46 = make_field(2, 12)
+    assert chebotarev_sample(f, g46, threads=0) == chebotarev_sample(f, g46, threads=1)
+    assert pools == [2]
 
 
 def test_chebotarev_rejects_constant_and_bad_base():
@@ -474,6 +478,34 @@ def test_orbit_check_catches_a_wrong_representative_shape(monkeypatch):
     monkeypatch.setattr(monodromy, "_shapes_for", skewed)
     with pytest.raises(ArithmeticError, match="Frobenius orbit"):
         chebotarev_sample(f, G16)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_conservation_law_catches_a_wrong_linear_count(monkeypatch, delta):
+    # t = 0 is fixed by the Frobenius, so _check_orbit never looks at it;
+    # only the count of linear factors over all fibers can see the change
+    f = f_closed(8, FieldElem(G4, 2))
+    base = make_field(2, 8)
+    shapes_for = monodromy._shapes_for
+
+    def skewed(fb, ts):
+        out = shapes_for(fb, ts)
+        if ts[0] == 0:
+            # f(0) = 0, so the fiber of 0 has the linear factor X: add or drop one
+            parts = list(out[0])
+            if delta > 0:
+                parts.append(1)
+            else:
+                parts.remove(1)
+            out[0] = tuple(sorted(parts))
+        return out
+
+    monkeypatch.setattr(monodromy, "_shapes_for", skewed)
+    with pytest.raises(ArithmeticError, match="linear factors"):
+        chebotarev_sample(f, base)
+    # sampled mode is exempt, even when it draws every t
+    sampled = chebotarev_sample(f, base, mode="sampled", n=base.order, seed=1)
+    assert sum(sampled.entries.values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,8 @@ def test_roots_simple_cases():
 
 @pytest.mark.parametrize("p,e", [(2, 14), (3, 11)])
 def test_roots_above_the_enumeration_limit(p, e):
-    # fields past 2^12 elements split by trace (p = 2) or by quadratic
-    # character (p = 3) instead of enumerating
+    # fields past 2^12 elements: the split runs by trace (p = 2) or by
+    # quadratic character (p = 3)
     ctx = make_field(p, e)
     rng = random.Random(100 * p + e)
     a, b = rng.sample(range(ctx.order), 2)
@@ -255,6 +255,16 @@ def test_roots_match_exhaustive_evaluation(p, e):
         got = sorted(r.i for r, _m in pairs)
         direct = sorted(x for x in ctx.elements() if f.eval_index(x) == 0)
         assert got == direct, f"trial {trial} mismatch"
+        # each multiplicity is the number of times X - r divides f
+        for r, m in pairs:
+            lin = UniPoly(ctx, (ctx.neg(r.i), 1))
+            work, times = f, 0
+            while True:
+                q, rem = divmod(work, lin)
+                if not rem.is_zero():
+                    break
+                work, times = q, times + 1
+            assert m == times, f"trial {trial}, root {r.i}"
     # roots in an extension of the coefficient field
     sub = make_field(2, 2)
     sup = make_field(2, 6)
