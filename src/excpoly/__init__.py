@@ -55,7 +55,6 @@ from .monodromy import (
 from .curves import (
     CurveModel,
     ZetaData,
-    artin_schreier_model,
     count_points,
     plane_model,
     quotient_relations_report,
@@ -63,8 +62,6 @@ from .curves import (
     smoothness_check,
     verify_b_action,
     verify_product_identity,
-    verify_quotient_relations,
-    verify_sl2_certificate,
     weil_check,
     weil_contradiction_report,
     zeta,
@@ -106,7 +103,6 @@ __all__ = [
     "dist_compare",
     "CurveModel",
     "ZetaData",
-    "artin_schreier_model",
     "count_points",
     "plane_model",
     "quotient_relations_report",
@@ -114,8 +110,6 @@ __all__ = [
     "smoothness_check",
     "verify_b_action",
     "verify_product_identity",
-    "verify_quotient_relations",
-    "verify_sl2_certificate",
     "weil_check",
     "weil_contradiction_report",
     "zeta",

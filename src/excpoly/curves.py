@@ -1,15 +1,18 @@
-"""Curve models, point counts, zeta data, and exact automorphism certificates.
+"""The plane curve model, point counts, zeta data, and exact automorphism
+certificates.
 
-Two models of the same genus-q(q-1)/2 curve appear here.  The plane model is
+The genus-q(q-1)/2 curve is the smooth plane model
 
     Y^(q+1) + Z^(q+1) + T(YZ) + c = 0,      T(X) = X + X^2 + ... + X^(q/2),
 
-smooth for c outside F_2.  The additive-cover model is
+for c outside F_2; it is the model that smoothness checks, point counts and
+zeta data take.  The same curve is the additive cover
 
     v^q + v = (alpha + beta) w + w^q T(beta / (1 + w^(q-1))),
 
-a degree-q cover of the w-line.  The module certifies the change of variables
-linking them, verifies the Borel and full SL2(q) automorphism actions as exact
+a degree-q cover of the w-line, which appears only as the cleared polynomial
+the certificates check.  The module certifies the change of variables linking
+the two, verifies the Borel and full SL2(q) automorphism actions as exact
 identities in a small function-field engine, counts points over extensions (one
 production counter over the product fibration, with per-z root counting and
 brute-force pair enumeration as independent references on small fields),
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .families import trace_poly
 from .ff import (VEC_CHUNK, FieldCtx, FieldElem, _fan_out, _frob_orbits, _same_field, embed,
                  lift, log_p, make_field)
 from .poly import BiPoly, UniPoly
@@ -257,16 +261,6 @@ class FnField:
 # ---------------------------------------------------------------------------
 # shared builders
 
-def _scalar_T(ctx, x, e):
-    """T(x) = x + x^2 + ... + x^(2^(e-1)) on packed indices."""
-    acc = x
-    cur = x
-    for _ in range(e - 1):
-        cur = ctx.mul(cur, cur)
-        acc = ctx.add(acc, cur)
-    return acc
-
-
 def _plane_poly(q, ctx, c):
     """Y^(q+1) + Z^(q+1) + T(YZ) + c as a BiPoly over ctx (c a packed index)."""
     e = log_p(q, 2)
@@ -475,7 +469,7 @@ def sl2_certificate(q, alpha, beta=None):
     d_idx = amb.add(g, ginv)
     if d_idx == 0 or amb.pow_(d_idx, q) != d_idx:
         raise ArithmeticError("g + 1/g must lie in GF(q)*")
-    if _scalar_T(amb, amb.inv(amb.mul(d_idx, d_idx)), e) != 1:
+    if trace_poly(q, amb).eval_index(amb.inv(amb.mul(d_idx, d_idx))) != 1:
         raise ArithmeticError("T(1 / (g + 1/g)^2) must be 1")
     dinv = amb.inv(d_idx)
     y_el = E.add(E.add(E.scale_c(vhat, amb.mul(g, dinv)),
@@ -596,11 +590,6 @@ def _proj_eq(ctx, p1, p2):
     return True
 
 
-def verify_sl2_certificate(q, alpha):
-    """True when the full change-of-variables certificate passes for alpha."""
-    return sl2_certificate(q, alpha)["ok"]
-
-
 def quotient_relations_report(q, alpha, beta):
     """Verify the degree-q quotient relation and its hyperelliptic involution.
 
@@ -664,28 +653,19 @@ def quotient_relations_report(q, alpha, beta):
     }
 
 
-def verify_quotient_relations(q, alpha, beta):
-    """True when the quotient relation and involution identities all hold."""
-    return quotient_relations_report(q, alpha, beta)["ok"]
-
-
 # ---------------------------------------------------------------------------
-# curve models
+# the plane model
 
 @dataclass(frozen=True)
 class CurveModel:
-    """One of the two models, with its defining polynomial and constant field.
-
-    variant "plane": params = (c,), defining = Y^(q+1) + Z^(q+1) + T(YZ) + c.
-    variant "artin_schreier": params = (alpha, beta), defining = the cleared
-    cover polynomial in (V, W).  Parameters are packed indices in ambient.
+    """The plane model Y^(q+1) + Z^(q+1) + T(YZ) + c = 0 over its constant
+    field ambient, with c a packed index in ambient.  The additive cover is
+    not a model here: it is the cleared polynomial the certificates check.
     """
 
-    variant: str
     q: int
     ambient: FieldCtx
-    params: tuple
-    defining: BiPoly
+    c: int
 
 
 def plane_model(q, c, allow_singular=False):
@@ -695,13 +675,8 @@ def plane_model(q, c, allow_singular=False):
         raise ValueError("c must be a characteristic-2 field element")
     if c.i in (0, 1) and not allow_singular:
         raise ValueError("c in F_2 gives a singular curve")
-    return CurveModel("plane", q, c.ctx, (c.i,), _plane_poly(q, c.ctx, c.i))
-
-
-def artin_schreier_model(q, alpha, beta):
-    """Additive-cover model; both parameters must be nonzero and coresident."""
-    amb, a, b = _cover_params(alpha, beta)
-    return CurveModel("artin_schreier", q, amb, (a, b), _cab_poly(q, amb, a, b))
+    log_p(q, 2)
+    return CurveModel(q, c.ctx, c.i)
 
 
 def smoothness_check(model):
@@ -713,12 +688,10 @@ def smoothness_check(model):
     at the q+1 points [u : 1 : 0] with u^(q+1) = 1.  Both loci are complete
     over the algebraic closure, so the enumeration is a full certificate.
     """
-    if model.variant != "plane":
-        raise ValueError("smoothness check applies to the plane model")
     q = model.q
     e = log_p(q, 2)
     work = make_field(2, math.lcm(2 * e, model.ambient.e))
-    c = lift(FieldElem(model.ambient, model.params[0]), work).i
+    c = lift(FieldElem(model.ambient, model.c), work).i
     big = make_field(2, 2 * e)
     up = embed(big, work)
     singular = []
@@ -772,15 +745,6 @@ def _quadratic_maps(vf):
 
 # ---------------------------------------------------------------------------
 # point counting
-
-def _ext_with_param(model, m):
-    """Extension field of degree m over the ambient, plus the moved parameters."""
-    ext = make_field(2, model.ambient.e * m)
-    if m == 1:
-        return ext, model.params
-    up = embed(model.ambient, ext)
-    return ext, tuple(up.apply(p) for p in model.params)
-
 
 def _count_plane_fiber_range(ctx, q, e, c, n, a, d, lo, hi):
     """Count affine points with y, z != 0 whose product u = yz lies in [lo, hi).
@@ -873,9 +837,9 @@ def _count_plane_brute(q, e, ext, c, n):
 
 def count_points(model, m, strategy="fiber", threads=1):
     """Projective points of a smooth plane model (c outside F_2) over the
-    degree-m extension GF(Q) of its ambient field GF(A); a singular or
-    non-plane model raises ValueError.  "fiber" (product fibration, guard
-    2^24) is the production counter; "per-z" (root counting by gcd) and
+    degree-m extension GF(Q) of its ambient field GF(A); a singular model
+    raises ValueError.  "fiber" (product fibration, guard 2^24) is the
+    production counter; "per-z" (root counting by gcd) and
     "brute" (exhaustive pairs), both guarded at 2^12, are the independent
     references it is tested against.  A total outside the Weil bound raises
     ArithmeticError.
@@ -891,9 +855,7 @@ def count_points(model, m, strategy="fiber", threads=1):
     """
     if m < 1:
         raise ValueError("extension degree must be positive")
-    if model.variant != "plane":
-        raise ValueError(f"count_points needs the plane model, not {model.variant!r}")
-    if model.params[0] in (0, 1):
+    if model.c in (0, 1):
         raise ValueError("c in F_2 gives a singular curve; its count is not supported")
     if strategy not in ("fiber", "per-z", "brute"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -902,7 +864,8 @@ def count_points(model, m, strategy="fiber", threads=1):
     if Q > guard:
         raise ValueError(f"enumeration size {Q} exceeds the guard {guard}")
     q = model.q
-    ext, (c,) = _ext_with_param(model, m)
+    ext = make_field(2, model.ambient.e * m)
+    c = lift(FieldElem(model.ambient, model.c), ext).i
     # the last entry, n = gcd(q + 1, Q - 1), counts the points at infinity
     plane = (q, log_p(q, 2), ext, c, math.gcd(q + 1, Q - 1))
     if strategy == "fiber":
@@ -1002,8 +965,6 @@ def zeta(model, g, threads=1, counts=None):
     the enumeration and validates the supplied values instead (replay path for
     cached runs).
     """
-    if model.variant != "plane":
-        raise ValueError("zeta needs the smooth plane model")
     base = model.ambient.order
     if counts is None:
         counts = [count_points(model, m, threads=threads) for m in range(1, g + 1)]

@@ -65,7 +65,7 @@ def _vector_blocks(coeffs, field):
         yield lo, acc.tolist()
 
 
-def is_permutation(f, field, threads=1, guard=SIZE_GUARD):
+def is_permutation(f, field, threads=1):
     """Exhaustively test whether f permutes the given field.
 
     Returns (True, None) when f is a bijection, else (False, (x1, x2)) with
@@ -75,8 +75,6 @@ def is_permutation(f, field, threads=1, guard=SIZE_GUARD):
     of an odd-characteristic scan; characteristic 2 runs vectorized in
     this process.
     """
-    if field.order > guard:
-        raise ValueError(f"field of order {field.order} exceeds the guard {guard}")
     g = lift(f, field)
     if field.p == 2:
         blocks = _vector_blocks(g.c, field)
@@ -205,6 +203,16 @@ def _verdict_char3(spec, base):
     return t % 2 == 0 and math.gcd(base.e, e) == 1
 
 
+# the criterion of each family kind; FamilySpec has already checked the kind
+_VERDICTS = {
+    "power": _verdict_power,
+    "dickson": _verdict_dickson,
+    "char2_new": _verdict_char2_tower,
+    "char2_additive_twist": _verdict_char2_tower,
+    "char3_twist": _verdict_char3,
+}
+
+
 def exceptionality_verdict(spec, base):
     """Predicted exceptionality of the family member over the base field.
 
@@ -215,15 +223,7 @@ def exceptionality_verdict(spec, base):
     """
     sf = spec.base_field()
     _require(sf.p == base.p, "spec and base have different characteristics")
-    if spec.kind == "power":
-        return _verdict_power(spec, base)
-    if spec.kind == "dickson":
-        return _verdict_dickson(spec, base)
-    if spec.kind in ("char2_new", "char2_additive_twist"):
-        return _verdict_char2_tower(spec, base)
-    if spec.kind == "char3_twist":
-        return _verdict_char3(spec, base)
-    raise AssertionError(spec.kind)
+    return _VERDICTS[spec.kind](spec, base)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ class PermReport:
         return cls(spec=spec, base=base, rows=tuple(rows))
 
 
-def tower_scan(spec, base, degrees, threads=1, guard=SIZE_GUARD):
+def tower_scan(spec, base, degrees, threads=1):
     """Test bijectivity of the family member over GF(base.order^j) for each
     requested extension degree j, exhaustively."""
     f = spec.build()
@@ -284,9 +284,9 @@ def tower_scan(spec, base, degrees, threads=1, guard=SIZE_GUARD):
         _require(j >= 1, "extension degrees must be positive")
         # p >= 2, so p^(e j) >= 2^(e j) exceeds the guard once e j reaches its
         # bit length; only smaller powers are formed
-        if base.e * j >= guard.bit_length() or base.p ** (base.e * j) > guard:
-            raise ValueError(f"extension degree {j} exceeds the size guard {guard}")
+        if base.e * j >= SIZE_GUARD.bit_length() or base.p ** (base.e * j) > SIZE_GUARD:
+            raise ValueError(f"extension degree {j} exceeds the size guard {SIZE_GUARD}")
         ext = make_field(base.p, base.e * j)
-        ok, wit = is_permutation(f, ext, threads=threads, guard=guard)
+        ok, wit = is_permutation(f, ext, threads=threads)
         rows.append((j, ok, wit))
     return PermReport(spec=spec, base=base, rows=tuple(rows))

@@ -203,6 +203,16 @@ def family_v(q, n, alpha):
 
 # ---------------------------------------------------------------------------
 
+# the builder of each family kind; FamilySpec has already checked the kind
+_BUILDERS = {
+    "power": lambda spec: UniPoly.monomial(spec.base_field(), spec.d),
+    "dickson": lambda spec: dickson(spec.d, spec.alpha),
+    "char2_new": lambda spec: f_closed(spec.q, spec.alpha),
+    "char2_additive_twist": lambda spec: family_iv(spec.q, spec.n, spec.alpha),
+    "char3_twist": lambda spec: family_v(spec.q, spec.n, spec.alpha),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One family member, pinned down by kind and parameters."""
@@ -223,30 +233,13 @@ class FamilySpec:
         _require(self.field is not None, f"{self.kind} needs a field or alpha")
         return self.field
 
-    def degree(self):
-        if self.kind == "power":
-            return self.d
-        if self.kind == "dickson":
-            return self.d
-        return self.q * (self.q - 1) // 2
-
     def build(self):
         missing = [name for name in FAMILY_KINDS[self.kind] if getattr(self, name) is None]
         _require(not missing, f"{self.kind} needs {', '.join(missing)}")
         if self.kind in ("power", "dickson"):
             _require(1 <= self.d <= MAX_DEGREE,
                      f"{self.kind} degree d = {self.d} lies outside 1..2^16 = {MAX_DEGREE}")
-        if self.kind == "power":
-            return UniPoly.monomial(self.base_field(), self.d)
-        if self.kind == "dickson":
-            return dickson(self.d, self.alpha)
-        if self.kind == "char2_new":
-            return f_closed(self.q, self.alpha)
-        if self.kind == "char2_additive_twist":
-            return family_iv(self.q, self.n, self.alpha)
-        if self.kind == "char3_twist":
-            return family_v(self.q, self.n, self.alpha)
-        raise AssertionError(self.kind)
+        return _BUILDERS[self.kind](self)
 
     def to_json(self):
         out = {"kind": self.kind}

@@ -25,8 +25,10 @@ r_d = sum over k | d of k * m_k as the rounds run.  A fiber leaves the
 live set once its uncounted degree r is below 2(d + 1), the stopping
 rule poly._ddf uses: every factor of degree <= d is counted, so r is
 zero or one irreducible factor.  Ramified fibers are delegated to the
-direct path, and a fixed subsample (the first, middle and last unramified
-fiber) of every vectorized run is re-checked against it.
+direct path; their branch set, from one factorization of f', is found once
+per run, before the fibers are split across jobs.  A fixed subsample (the
+first, middle and last unramified fiber) of every vectorized run is
+re-checked against the direct path.
 
 Orbit reduction: when f has coefficients in GF(p^a), applying the
 Frobenius x -> x^(p^a) to f - t gives f - t^(p^a), so the two fibers
@@ -530,19 +532,23 @@ def _vector_shapes(fb, ts, branch_set):
     return shapes
 
 
-def _shapes_for(fb, ts):
-    """Dispatch between the direct and vectorized engines."""
-    use_vector = (
-        fb.ctx.p == 2
-        and fb.degree >= 3
-        and fb.is_monic()
-        and len(ts) >= VECTOR_MIN_FIBERS
-    )
-    if use_vector:
-        fprime = fb.derivative()
-        if not fprime.is_zero():
-            branch = {e.i for e in branch_points(fb, fb.ctx)}
-            return _vector_shapes(fb, ts, branch)
+def _vectorizes(fb, n):
+    """Whether a batch of n fibers of fb goes to the vectorized engine; the
+    one engine-choice rule."""
+    return (n >= VECTOR_MIN_FIBERS and fb.ctx.p == 2 and fb.degree >= 3 and fb.is_monic()
+            and not fb.derivative().is_zero())
+
+
+def _branch_set(fb):
+    """The branch values of fb as packed indices."""
+    return {e.i for e in branch_points(fb, fb.ctx)}
+
+
+def _shapes_for(fb, ts, branch=None):
+    """Dispatch between the direct and vectorized engines; branch is
+    _branch_set(fb), found here when a vectorized batch is not given it."""
+    if _vectorizes(fb, len(ts)):
+        return _vector_shapes(fb, ts, _branch_set(fb) if branch is None else branch)
     return [_shape_one(fb, t) for t in ts]
 
 
@@ -604,8 +610,10 @@ def chebotarev_sample(f, base, mode="exhaustive", n=None, seed=None, threads=1):
         step = -(-len(reps) // threads)
     else:
         step = len(reps)
-    parts = _fan_out(_shapes_for, [(fb, reps[i: i + step]) for i in range(0, len(reps), step)],
-                     threads)
+    # the branch set is found once here, not once per job
+    branch = _branch_set(fb) if _vectorizes(fb, step) else None
+    parts = _fan_out(_shapes_for, [(fb, reps[i: i + step], branch)
+                                   for i in range(0, len(reps), step)], threads)
     shapes = [sh for part in parts for sh in part]
     _check_orbit(fb, a, reps, shapes)
     mult = mult.tolist()

@@ -18,7 +18,6 @@ import excpoly
 from excpoly import (
     FieldElem,
     ZetaData,
-    artin_schreier_model,
     count_points,
     curves,
     make_field,
@@ -28,14 +27,12 @@ from excpoly import (
     smoothness_check,
     verify_b_action,
     verify_product_identity,
-    verify_quotient_relations,
-    verify_sl2_certificate,
     weil_check,
     weil_contradiction_report,
     zeta,
 )
 from excpoly.curves import _q_squarefree, _weil_radius_certified
-from excpoly.ff import VecField
+from excpoly.ff import FieldCtx, VecField, lift
 
 G2 = make_field(2, 1)
 G4 = make_field(2, 2)
@@ -71,7 +68,7 @@ def test_certificate_passes_q8():
     assert all(s["ok"] for s in rep["steps"])
     # alpha + alpha^2 = 1 for alpha in GF(4) minus F_2, so beta defaults to 1
     assert rep["beta"] == 1
-    assert verify_sl2_certificate(8, FieldElem(G4, 3)) is True
+    assert sl2_certificate(8, FieldElem(G4, 3))["ok"] is True
 
 
 def test_certificate_passes_q4_with_default_beta():
@@ -121,6 +118,8 @@ def test_b_action_and_mutation():
     assert verify_b_action(4, FieldElem(G16, 2), FieldElem(G16, 7), mutate=True) is False
     with pytest.raises(ValueError):
         verify_b_action(8, FieldElem(G4, 0), FieldElem(G2, 1))
+    with pytest.raises(ValueError):
+        verify_b_action(8, FieldElem(G4, 2), FieldElem(G2, 0))
 
 
 def test_quotient_relations_applicable_case():
@@ -132,7 +131,6 @@ def test_quotient_relations_applicable_case():
     }
     assert rep["applicable"] is True and rep["pole_product"] is True
     assert rep["ok"] is True
-    assert verify_quotient_relations(8, FieldElem(G4, 2), FieldElem(G2, 1)) is True
 
 
 def test_quotient_relations_generic_beta():
@@ -144,6 +142,8 @@ def test_quotient_relations_generic_beta():
     assert rep["ok"] is True
     with pytest.raises(ValueError):
         quotient_relations_report(8, FieldElem(G4, 2), FieldElem(G4, 0))
+    with pytest.raises(ValueError):
+        quotient_relations_report(8, FieldElem(G4, 0), FieldElem(G2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +159,12 @@ def test_plane_model_validation():
         plane_model(4, FieldElem(make_field(3, 2), 2))
     with pytest.raises(ValueError):
         plane_model(4, 7)
+    with pytest.raises(ValueError, match="not a power of 2"):
+        plane_model(6, FieldElem(G16, 2))
     m = plane_model(4, FieldElem(G16, 2))
-    assert m.variant == "plane" and m.q == 4 and m.params == (2,)
+    assert m.q == 4 and m.ambient == G16 and m.c == 2
     sing = plane_model(4, FieldElem(G16, 1), allow_singular=True)
-    assert sing.params == (1,)
-
-
-def test_artin_schreier_model_ambient():
-    m = artin_schreier_model(8, FieldElem(G4, 2), FieldElem(G8, 3))
-    assert m.variant == "artin_schreier" and m.ambient.e == 6
-    with pytest.raises(ValueError):
-        artin_schreier_model(8, FieldElem(G4, 0), FieldElem(G2, 1))
+    assert sing.c == 1
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
@@ -184,11 +179,6 @@ def test_singular_for_prime_field_constants(ci):
     model = plane_model(4, FieldElem(G16, ci), allow_singular=True)
     ok, sing = smoothness_check(model)
     assert not ok and len(sing) > 0
-
-
-def test_smoothness_rejects_cover_model():
-    with pytest.raises(ValueError):
-        smoothness_check(artin_schreier_model(8, FieldElem(G4, 2), FieldElem(G2, 1)))
 
 
 # the function-field engine and the certificates raise named errors, never
@@ -410,6 +400,18 @@ def test_count_first_extension_all_parameters():
         assert count_points(model, 1) == 5
 
 
+def test_count_points_moves_c_out_of_a_noncanonical_field():
+    """c in GF(16) built on x^4 + x^3 + 1 counts as its image in the canonical
+    GF(16), at m = 1 as at m = 2."""
+    alt = FieldCtx(2, 4, (1, 0, 0, 1, 1))
+    assert alt != G16
+    for ci in (2, 10):
+        c = FieldElem(alt, ci)
+        for m in (1, 2):
+            assert count_points(plane_model(4, c), m) == count_points(
+                plane_model(4, lift(c, G16)), m)
+
+
 def test_count_points_guards_and_errors():
     model = plane_model(4, FieldElem(G16, 2))
     with pytest.raises(ValueError):
@@ -418,8 +420,6 @@ def test_count_points_guards_and_errors():
         count_points(model, 4, strategy="brute")  # 2^16 pairs over the dense guard
     with pytest.raises(ValueError):
         count_points(model, 1, strategy="magic")
-    with pytest.raises(ValueError, match="plane model"):
-        count_points(artin_schreier_model(8, FieldElem(G4, 2), FieldElem(G2, 1)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +455,6 @@ def test_zeta_rejects_corrupt_counts():
         zeta(model, 6, counts=bad)
     with pytest.raises(ValueError):
         zeta(model, 6, counts=list(C2_COUNTS[:4]))
-
-
-def test_zeta_needs_plane_model():
-    with pytest.raises(ValueError):
-        zeta(artin_schreier_model(8, FieldElem(G4, 2), FieldElem(G2, 1)), 28)
 
 
 def test_zeta_json_round_trip(zeta_c2):

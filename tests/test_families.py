@@ -245,7 +245,7 @@ def test_members_have_nonzero_derivative():
 def test_family_spec_build_and_json():
     spec = FamilySpec(kind="char2_new", q=8, alpha=FieldElem(G4, 2))
     f = spec.build()
-    assert f.degree == 28 == spec.degree()
+    assert f.degree == 28
     obj = spec.to_json()
     assert obj["kind"] == "char2_new" and obj["q"] == 8
     assert obj["alpha"]["index"] == 2

@@ -308,6 +308,25 @@ def test_chebotarev_threads_agree(monkeypatch):
     assert pools == [2]
 
 
+def test_branch_points_run_once_per_chebotarev_run(monkeypatch):
+    """The branch set is found before the fan-out, not once per job: four
+    jobs of 52 vectorized representatives each factor f' once between them."""
+    f = f_closed(8, FieldElem(G4, 2))
+    base = make_field(2, 10)
+    one = chebotarev_sample(f, base)
+    calls = []
+    find = monodromy.branch_points
+
+    def spy(g, ctx):
+        calls.append(ctx)
+        return find(g, ctx)
+
+    monkeypatch.setattr(monodromy, "_fan_out", lambda fn, jobs, threads: [fn(*j) for j in jobs])
+    monkeypatch.setattr(monodromy, "branch_points", spy)
+    assert chebotarev_sample(f, base, threads=4) == one
+    assert calls == [base]
+
+
 def test_chebotarev_rejects_constant_and_bad_base():
     with pytest.raises(ValueError):
         chebotarev_sample(UniPoly.one(G4), G4)
@@ -472,8 +491,8 @@ def test_orbit_check_catches_a_wrong_representative_shape(monkeypatch):
     f = f_closed(8, FieldElem(G4, 2))
     shapes_for = monodromy._shapes_for
 
-    def skewed(fb, ts):
-        return [sh if t == 0 else (fb.degree,) for t, sh in zip(ts, shapes_for(fb, ts))]
+    def skewed(fb, ts, branch=None):
+        return [sh if t == 0 else (fb.degree,) for t, sh in zip(ts, shapes_for(fb, ts, branch))]
 
     monkeypatch.setattr(monodromy, "_shapes_for", skewed)
     with pytest.raises(ArithmeticError, match="Frobenius orbit"):
@@ -488,8 +507,8 @@ def test_conservation_law_catches_a_wrong_linear_count(monkeypatch, delta):
     base = make_field(2, 8)
     shapes_for = monodromy._shapes_for
 
-    def skewed(fb, ts):
-        out = shapes_for(fb, ts)
+    def skewed(fb, ts, branch=None):
+        out = shapes_for(fb, ts, branch)
         if ts[0] == 0:
             # f(0) = 0, so the fiber of 0 has the linear factor X: add or drop one
             parts = list(out[0])
