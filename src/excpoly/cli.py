@@ -126,7 +126,7 @@ def cache_get(cdir, key, decode=None):
         if digest != entry["sha256"]:
             raise ValueError("checksum mismatch")
         return payload if decode is None else decode(payload)
-    except (ValueError, KeyError, TypeError, OSError) as err:
+    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError, OSError) as err:
         print("cache entry %s is corrupt (%s); recomputing" % (key[:12], err),
               file=sys.stderr)
         return None

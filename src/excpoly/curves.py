@@ -32,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .families import trace_poly
-from .ff import (VEC_CHUNK, FieldCtx, FieldElem, _fan_out, _frob_orbits, _same_field, embed,
-                 lift, log_p, make_field)
+from .ff import (VEC_CHUNK, FieldCtx, FieldElem, _fan_out, _frob_orbits, _index, _same_field,
+                 embed, lift, log_p, make_field)
 from .poly import BiPoly, UniPoly
 
 FIBER_GUARD = 1 << 24
@@ -93,7 +93,6 @@ class RatFn:
 
     @classmethod
     def const(cls, ctx, a):
-        a = a.i if isinstance(a, FieldElem) else int(a)
         return cls(UniPoly.const(ctx, a), UniPoly.one(ctx), reduced=True)
 
     def is_zero(self):
@@ -134,7 +133,7 @@ class RatFn:
         return RatFn(num, den, reduced=True)
 
     def scale(self, a):
-        a = a.i if isinstance(a, FieldElem) else int(a)
+        a = _index(self.ctx, a)
         if a == 0:
             return RatFn.zero(self.ctx)
         return RatFn(self.num.scale(a), self.den, reduced=True)
@@ -216,7 +215,6 @@ class FnField:
 
     def scale_c(self, u, a):
         """Multiply by a constant-field scalar (packed index or element)."""
-        a = a.i if isinstance(a, FieldElem) else int(a)
         return tuple(c.scale(a) for c in u)
 
     def mul(self, u, v):
@@ -350,43 +348,45 @@ def verify_product_identity(q, mutate=False):
     return prod == rhs
 
 
-def verify_b_action(q, alpha, beta, mutate=False):
-    """Check the upper-triangular automorphisms of the additive-cover model.
+def _b_action(q, amb, a, b, mutate=False):
+    """(sigma, mu) for the upper-triangular automorphisms of the cover.
 
-    The matrix [[g^-1, d], [0, g]] acts through w -> g^2 w, v -> g^2 v + g d.
-    Substituting a generating set (one order-(q-1) diagonal, the e additive
-    shifts along an F_2-basis of GF(q), and one mixed element) into the cleared
-    curve polynomial must reproduce it exactly up to the unit factor g^2.
-
-    With mutate=True the diagonal is misapplied as w -> g w, which must break
-    the identity.
+    The matrix [[g^-1, d], [0, g]] acts through w -> g^2 w, v -> g^2 v + g d
+    on the cleared curve polynomial E = _cab_poly(q, amb, a, b).  sigma says
+    that the e additive shifts along an F_2-basis of GF(q) fix E; mu says
+    that the order-(q-1) diagonal, alone and with d the basis sum, multiplies
+    E by the unit g^2.  With mutate=True the diagonal is misapplied as
+    w -> g w, and mu only asks for a constant multiple of E.
     """
     e = log_p(q, 2)
-    amb, a, b = _cover_params(alpha, beta, e)
     E = _cab_poly(q, amb, a, b)
     V = BiPoly.X(amb)
     W = BiPoly.Y(amb)
     qf = make_field(2, e)
     up = embed(qf, amb)
+    sigma = all(E.subst(x=V + BiPoly.const(amb, up.apply(1 << i))) == E for i in range(e))
     g0 = up.apply(qf.gen)          # order q-1
     g2 = amb.mul(g0, g0)
     if mutate:
-        image = E.subst(x=V.scale(g2), y=W.scale(g0))
-        return _proportional(image, E)
-    # diagonal generator
-    if not E.subst(x=V.scale(g2), y=W.scale(g2)) == E.scale(g2):
-        return False
-    # additive generators along an F_2-basis of GF(q)
-    for i in range(e):
-        xi = up.apply(1 << i)
-        if not E.subst(x=V + BiPoly.const(amb, xi)) == E:
-            return False
-    # one mixed element: v -> g^2 v + g d with d the basis sum
+        return sigma, _proportional(E.subst(x=V.scale(g2), y=W.scale(g0)), E)
+    diag = V.scale(g2)
     d = up.apply((1 << e) - 1 if e > 1 else 1)
-    shift = BiPoly.const(amb, amb.mul(g0, d))
-    if not E.subst(x=V.scale(g2) + shift, y=W.scale(g2)) == E.scale(g2):
-        return False
-    return True
+    mixed = diag + BiPoly.const(amb, amb.mul(g0, d))
+    mu = all(E.subst(x=x, y=W.scale(g2)) == E.scale(g2) for x in (diag, mixed))
+    return sigma, mu
+
+
+def verify_b_action(q, alpha, beta, mutate=False):
+    """Check the upper-triangular automorphisms of the additive-cover model.
+
+    Substituting a generating set (one order-(q-1) diagonal, the e additive
+    shifts along an F_2-basis of GF(q), and one mixed element) into the cleared
+    curve polynomial must reproduce it exactly up to the unit factor g^2; see
+    _b_action.  With mutate=True the diagonal is misapplied as w -> g w, which
+    must break the identity.
+    """
+    amb, a, b = _cover_params(alpha, beta, log_p(q, 2))
+    return all(_b_action(q, amb, a, b, mutate))
 
 
 def sl2_certificate(q, alpha, beta=None):
@@ -501,16 +501,7 @@ def sl2_certificate(q, alpha, beta=None):
         k = 1 << i
         sym = sym + BiPoly(amb, {(k, k): 1})
     ok_tau = Fpl.swap_vars() == Fpl and sym.swap_vars() == sym
-    Ecab = _cab_poly(q, amb, a, b)
-    qf = make_field(2, e)
-    up = embed(qf, amb)
-    ok_sigma = all(
-        Ecab.subst(x=BiPoly.X(amb) + BiPoly.const(amb, up.apply(1 << i))) == Ecab
-        for i in range(e))
-    z0 = up.apply(qf.gen)
-    z0inv = amb.inv(z0)
-    ok_mu = Ecab.subst(x=BiPoly.X(amb).scale(z0inv),
-                       y=BiPoly.Y(amb).scale(z0inv)) == Ecab.scale(z0inv)
+    ok_sigma, ok_mu = _b_action(q, amb, a, b)
     ok3 = ok_nu and ok_tau and ok_sigma and ok_mu
 
     # step 4: restrict the homogenized plane equation to the line

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FamilySpec, _require
-from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, _fan_out, field_from_json, is_prime,
-                 lift, log_p, make_field, prime_factors)
+from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, _eval, _fan_out, field_from_json,
+                 is_prime, lift, log_p, make_field, prime_factors)
 
 #: Default cap on the size of any single exhaustively enumerated field.
 SIZE_GUARD = MAX_ORDER
@@ -41,16 +41,7 @@ _PARALLEL_FLOOR = 1 << 12
 
 def _eval_block(ctx, coeffs, lo, hi):
     """Value indices f(x) for x-index in [lo, hi), in index order."""
-    out = array("i", bytes(4 * (hi - lo)))
-    rev = tuple(reversed(coeffs))
-    mul = ctx.mul
-    add = ctx.add
-    for x in range(lo, hi):
-        acc = 0
-        for c in rev:
-            acc = add(mul(acc, x), c)
-        out[x - lo] = acc
-    return out
+    return array("i", [_eval(ctx, coeffs, x) for x in range(lo, hi)])
 
 
 def _vector_blocks(coeffs, field):
@@ -131,10 +122,13 @@ def _verdict_dickson(spec, base):
     _require(d != p, "degree must differ from the characteristic")
     _require(spec.alpha is not None and spec.alpha.i != 0, "dickson family needs a unit alpha")
     s = base.order
+    verdict = math.gcd(d, s * s - 1) == 1
+    if s * s > MAX_ORDER:
+        return verdict
+    # cross-check by enumeration: any zeta with zeta + 1/zeta in k satisfies
+    # a quadratic over k, so all candidates live in GF(s^2); enumerate the
+    # primitive d-th roots of unity there (d prime: all d-1 of them, or none).
     big = make_field(p, 2 * base.e)
-    # Any zeta with zeta + 1/zeta in k satisfies a quadratic over k, so all
-    # candidates live in GF(s^2); enumerate the primitive d-th roots of
-    # unity there (d prime: all d-1 of them, or none).
     hit = False
     nroots = math.gcd(d, big.order - 1)
     if nroots == d:
@@ -147,10 +141,8 @@ def _verdict_dickson(spec, base):
             z = big.mul(z, z0)
     elif nroots != 1:
         raise ArithmeticError(f"{nroots} d-th roots of unity for prime d = {d}")
-    verdict = not hit
-    # cross-check against the closed-form criterion gcd(d, s^2 - 1) = 1
-    if verdict != (math.gcd(d, s * s - 1) == 1):
-        raise ArithmeticError(f"Dickson verdict {verdict} disagrees with gcd(d, s^2 - 1)")
+    if hit == verdict:
+        raise ArithmeticError(f"Dickson verdict {verdict} disagrees with the enumeration")
     return verdict
 
 

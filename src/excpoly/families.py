@@ -289,31 +289,7 @@ class CanonicalForm:
         ctx = self.alpha.ctx
         base = f_closed(self.q, self.alpha)
         lin = UniPoly(ctx, (self.gamma.i, self.zeta.i))
-        return base.compose(lin).scale(self.eta) + UniPoly.const(ctx, self.delta.i)
-
-    def to_json(self):
-        ctx = self.alpha.ctx
-        return {
-            "q": self.q,
-            "field": ctx.to_json(),
-            "alpha": self.alpha.i,
-            "zeta": self.zeta.i,
-            "gamma": self.gamma.i,
-            "eta": self.eta.i,
-            "delta": self.delta.i,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        ctx = field_from_json(obj["field"])
-        return cls(
-            q=int(obj["q"]),
-            alpha=FieldElem(ctx, int(obj["alpha"])),
-            zeta=FieldElem(ctx, int(obj["zeta"])),
-            gamma=FieldElem(ctx, int(obj["gamma"])),
-            eta=FieldElem(ctx, int(obj["eta"])),
-            delta=FieldElem(ctx, int(obj["delta"])),
-        )
+        return base.compose(lin).scale(self.eta) + UniPoly.const(ctx, self.delta)
 
 
 def canonicalize(f, q):

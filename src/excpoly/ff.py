@@ -307,9 +307,11 @@ def _powmod(ctx, a, n, f, rows=None):
 
 
 def _eval(ctx, a, x):
+    mul = ctx.mul
+    add = ctx.add
     acc = 0
     for c in reversed(a):
-        acc = ctx.add(ctx.mul(acc, x), c)
+        acc = add(mul(acc, x), c)
     return acc
 
 
@@ -583,17 +585,6 @@ class FieldCtx:
             raise ValueError(f"square roots are unique only in characteristic 2, not in {self!r}")
         return self.pow_(a, self.order >> 1)
 
-    def abs_trace(self, a):
-        """Trace down to the prime field, returned as an int in [0, p)."""
-        acc = 0
-        cur = a
-        for _ in range(self.e):
-            acc = self.add(acc, cur)
-            cur = self.frob(cur)
-        if acc >= self.p:
-            raise ArithmeticError("absolute trace left the prime field")
-        return acc
-
     # -- packing helpers
 
     def from_coeffs(self, cs):
@@ -621,10 +612,7 @@ class FieldCtx:
     # -- plumbing
 
     def __call__(self, i):
-        i = int(i)
-        if not 0 <= i < self.order:
-            raise ValueError(f"index {i} out of range for {self!r}")
-        return FieldElem(self, i)
+        return FieldElem(self, _index(self, i))
 
     @property
     def zero(self):
@@ -664,6 +652,18 @@ def _same_field(ctx, other):
     """A ValueError unless the two contexts are the same field."""
     if ctx is not other and ctx != other:
         raise ValueError(f"mixed fields: {ctx!r} and {other!r}")
+
+
+def _index(ctx, a):
+    """The packed index of a scalar of ctx: a FieldElem of that field, or an
+    int in [0, ctx.order); a ValueError otherwise."""
+    if isinstance(a, FieldElem):
+        _same_field(ctx, a.ctx)
+        return a.i
+    i = int(a)
+    if not 0 <= i < ctx.order:
+        raise ValueError(f"index {i} out of range for {ctx!r}")
+    return i
 
 
 class FieldElem:

@@ -32,6 +32,7 @@ from .ff import (
     _eval,
     _frob_rows,
     _gcd,
+    _index,
     _monic,
     _mul,
     _neg,
@@ -81,15 +82,13 @@ class UniPoly:
 
     @classmethod
     def const(cls, ctx, a):
-        a = a.i if isinstance(a, FieldElem) else int(a)
-        return cls(ctx, (a,))
+        return cls(ctx, (_index(ctx, a),))
 
     @classmethod
     def monomial(cls, ctx, k, a=1):
         if k < 0:
             raise ValueError(f"monomial degree {k} must be non-negative")
-        a = a.i if isinstance(a, FieldElem) else int(a)
-        return cls(ctx, (0,) * k + (a,))
+        return cls(ctx, (0,) * k + (_index(ctx, a),))
 
     # -- structure
 
@@ -145,7 +144,7 @@ class UniPoly:
         return q
 
     def scale(self, a):
-        a = a.i if isinstance(a, FieldElem) else int(a)
+        a = _index(self.ctx, a)
         return UniPoly(self.ctx, [self.ctx.mul(c, a) for c in self.c])
 
     def monic(self):
@@ -188,10 +187,8 @@ class UniPoly:
         return _eval(self.ctx, self.c, x)
 
     def __call__(self, x):
-        if isinstance(x, FieldElem):
-            _same_field(x.ctx, self.ctx)
-            return FieldElem(self.ctx, _eval(self.ctx, self.c, x.i))
-        return _eval(self.ctx, self.c, int(x))
+        v = _eval(self.ctx, self.c, _index(self.ctx, x))
+        return FieldElem(self.ctx, v) if isinstance(x, FieldElem) else v
 
     def compose(self, other):
         """self(other): Horner over polynomials."""
@@ -390,8 +387,7 @@ class BiPoly:
 
     @classmethod
     def const(cls, ctx, a):
-        a = a.i if isinstance(a, FieldElem) else int(a)
-        return cls(ctx, {(0, 0): a})
+        return cls(ctx, {(0, 0): _index(ctx, a)})
 
     @classmethod
     def X(cls, ctx):
@@ -439,7 +435,7 @@ class BiPoly:
         return BiPoly(self.ctx, out)
 
     def scale(self, a):
-        a = a.i if isinstance(a, FieldElem) else int(a)
+        a = _index(self.ctx, a)
         mul = self.ctx.mul
         return BiPoly(self.ctx, {k: mul(c, a) for k, c in self.terms.items()})
 
@@ -457,9 +453,9 @@ class BiPoly:
         return r
 
     def eval(self, x, y):
-        x = x.i if isinstance(x, FieldElem) else int(x)
-        y = y.i if isinstance(y, FieldElem) else int(y)
         ctx = self.ctx
+        x = _index(ctx, x)
+        y = _index(ctx, y)
         acc = 0
         for (i, j), c in self.terms.items():
             acc = ctx.add(acc, ctx.mul(c, ctx.mul(ctx.pow_(x, i), ctx.pow_(y, j))))
@@ -503,15 +499,6 @@ class BiPoly:
 
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)
-
-    def to_json(self):
-        triples = sorted([i, j, c] for (i, j), c in self.terms.items())
-        return {"field": self.ctx.to_json(), "terms": triples}
-
-    @classmethod
-    def from_json(cls, obj):
-        ctx = field_from_json(obj["field"])
-        return cls(ctx, {(int(i), int(j)): int(c) for i, j, c in obj["terms"]})
 
     def __eq__(self, other):
         return (

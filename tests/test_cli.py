@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from excpoly import UniPoly, make_field
+from excpoly import FieldElem, UniPoly, dickson, is_permutation, make_field
 from excpoly import cli
 from excpoly.cli import Runner, cache_get, cache_put, run
 
@@ -149,6 +149,23 @@ def test_check_perm_csv_and_out(tmp_path, capsys):
     assert obj["exceptional_verdict"] is True
     assert [r["bijective"] for r in obj["rows"]] == [True, True, False]
     assert obj["witnesses"][0]["j"] == 3
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_dickson_verdict_above_the_enumeration_field(capsys, d):
+    """Over GF(2^14) the enumeration field GF(2^28) is past the size guard,
+    so the verdict is the closed form alone; it matches measurement."""
+    code, rep, _ = run_json(capsys, [
+        "check-perm", "--family", "dickson", "--d", str(d), "--alpha-index", "1",
+        "--field", "p=2,e=14", "--extensions", "1",
+    ])
+    assert code == 0
+    base = make_field(2, 14)
+    bijective, _ = is_permutation(dickson(d, FieldElem(base, 1)), base)
+    data = rep["checks"][-1]["data"]
+    assert bijective is (d == 7)
+    assert data["exceptional_verdict"] is bijective
+    assert data["rows"] == [{"bijective": bijective, "j": 1}]
 
 
 def test_check_perm_guards(capsys):
@@ -391,10 +408,11 @@ def test_chebotarev_runs_and_caches(capsys, tmp_path):
     assert sum(float(eval_fraction(w)) for _t, w in rows[1:]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("tamper", ["weight", "degree", "json"])
+@pytest.mark.parametrize("tamper", ["weight", "degree", "json", "zero-weight", "not-a-string"])
 def test_chebotarev_cache_rejects_checksum_valid_bad_payloads(capsys, tmp_path, tamper):
     """An entry whose checksum matches but whose payload is no valid
-    distribution is reported as corrupt, recomputed and overwritten."""
+    distribution, or no string at all, is reported as corrupt, recomputed
+    and overwritten."""
     cdir = tmp_path / "cc"
     argv = ["chebotarev", "--q", "8", "--alpha-index", "2", "--field", "p=2,e=2",
             "--j", "2", "--cache-dir", str(cdir)]
@@ -406,10 +424,12 @@ def test_chebotarev_cache_rejects_checksum_valid_bad_payloads(capsys, tmp_path, 
     payload = json.loads(blob["payload"])
     if tamper == "weight":
         payload["entries"][0]["weight"] = "1/2"
+    elif tamper == "zero-weight":
+        payload["entries"][0]["weight"] = "1/0"
     elif tamper == "degree":
         payload["degree"] += 1
     text = "{not json" if tamper == "json" else json.dumps(payload, sort_keys=True, indent=2)
-    blob["payload"] = text
+    blob["payload"] = payload if tamper == "not-a-string" else text
     blob["sha256"] = hashlib.sha256(text.encode()).hexdigest()
     entry.write_text(json.dumps(blob))
     code2, rep2, err = run_json(capsys, argv)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excpoly
-from excpoly import FieldElem, UniPoly, embed, field_from_json, make_field, rel_trace
+from excpoly import BiPoly, FieldElem, UniPoly, embed, field_from_json, make_field, rel_trace
+from excpoly.curves import FnField, RatFn
 from excpoly.ff import MAX_ORDER, FieldCtx, TABLE_LIMIT, is_prime, lift, log_p, prime_factors
 
 # every field here stays at or below 2^12 elements, so the per-element
@@ -201,6 +203,36 @@ def test_field_ops_reject_mixed_fields():
             op(a, b)
 
 
+def test_every_scalar_door_checks_the_field():
+    """Each constructor that takes a field scalar accepts a FieldElem of its
+    own field or an int in [0, order), and refuses anything else by name."""
+    ctx = make_field(2, 4)
+    fn = FnField(ctx, 4, RatFn.one(ctx), RatFn.one(ctx))
+    doors = {
+        "UniPoly.const": lambda a: UniPoly.const(ctx, a),
+        "UniPoly.monomial": lambda a: UniPoly.monomial(ctx, 2, a),
+        "UniPoly.scale": UniPoly.X(ctx).scale,
+        "UniPoly.__call__": UniPoly.X(ctx),
+        "BiPoly.const": lambda a: BiPoly.const(ctx, a),
+        "BiPoly.scale": BiPoly.X(ctx).scale,
+        "BiPoly.eval at x": lambda a: BiPoly.X(ctx).eval(a, 1),
+        "BiPoly.eval at y": lambda a: BiPoly.Y(ctx).eval(1, a),
+        "RatFn.const": lambda a: RatFn.const(ctx, a),
+        "RatFn.scale": RatFn.one(ctx).scale,
+        "FnField.scale_c": lambda a: fn.scale_c(fn.one_el, a),
+        "FieldCtx.__call__": ctx,
+    }
+    # GF(4) embeds in GF(16), where its element 2 is 6: an index is no lift
+    foreign = (FieldElem(make_field(2, 2), 2), FieldElem(make_field(2, 3), 1))
+    for name, door in doors.items():
+        for good in (FieldElem(ctx, 15), 15, 0):
+            door(good)
+        for bad in foreign + (16, 99, -1):
+            with pytest.raises(ValueError):
+                door(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+
+
 @pytest.mark.parametrize("p,e", [(2, 16), (3, 4)])
 def test_index_codec_is_a_bijection(p, e):
     ctx = make_field(p, e)
@@ -337,12 +369,13 @@ def test_additive_equation_solvable_iff_trace_vanishes(q, m):
 
 def test_absolute_trace_values():
     g4 = make_field(2, 2)
-    assert g4.abs_trace(g4.gen) == 1
-    assert g4.abs_trace(0) == 0
-    assert g4.abs_trace(1) == 0  # 1 + 1 in GF(4)
+    assert rel_trace(2, g4.x).i == 1
+    assert rel_trace(2, g4.zero).i == 0
+    assert rel_trace(2, g4.one).i == 0  # 1 + 1 in GF(4)
+    # the trace GF(9) -> GF(3) is onto and F_3-linear: three elements per value
     g9 = make_field(3, 2)
-    for a in g9.elements():
-        assert 0 <= g9.abs_trace(a) < 3
+    values = sorted(rel_trace(3, g9(a)).i for a in g9.elements())
+    assert values == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +596,8 @@ for argv, guard in (
         (["gen", "--family", "power", "--d", "0", "--field", "p=2,e=2"], "family-build"),
         (["check-perm", "--family", "power", "--d", "4", "--field", "p=2,e=2",
           "--extensions", "1"], "family-verdict"),
-        (["check-perm", "--family", "dickson", "--d", "5", "--alpha-index", "1",
-          "--field", "p=2,e=14", "--extensions", "1"], "family-verdict"),
+        (["check-perm", "--family", "dickson", "--d", "4", "--alpha-index", "1",
+          "--field", "p=2,e=2", "--extensions", "1"], "family-verdict"),
         (["check-perm", "--family", "char2-additive-twist", "--q", "8", "--n", "4",
           "--alpha-index", "1", "--field", "p=2,e=1", "--extensions", "1"], "family-build")):
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -593,6 +626,16 @@ def test_ff_and_poly_hold_no_assert():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
                  or isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node)]
         assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+def test_scalars_enter_through_one_door():
+    """No module converts a scalar with its own unchecked
+    FieldElem-or-int test; ff._index is the one door."""
+    pattern = re.compile(r"isinstance\(.*FieldElem\) else int\(")
+    for path in sorted(pathlib.Path(excpoly.__file__).parent.glob("*.py")):
+        lines = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+        assert lines == [], f"{path.name} converts scalars on lines {lines}"
 
 
 def _names_used(tree):
