@@ -14,10 +14,12 @@ The raw polynomial kernels on coefficient lists live here too, shared by
 poly and the modulus checks.  Modular powers (_powmod) take each p-th
 power as a semilinear map: (sum a_i X^i)^p = sum a_i^p X^(p*i) in
 characteristic p, so with the rows X^(p*i) mod g tabled once (_frob_rows),
-a^p mod g (_frobmod) is a coefficient power per term plus a sum of rows,
-about m^2 / 2 products for p = 2 and m = deg g instead of the 2 m^2 of a
-square and its reduction.  Binary square-and-multiply is the reference
-for it in tests/test_frobenius.py.  The one equal-degree splitter, _edf,
+a^p mod g (_frobmod) is a coefficient power per term plus a sum of rows.
+Over GF(2^e), e > 1, the rows form an int64 (m, m) array, m = deg g, and
+the step is three numpy operations on ctx.vec (squares, one product against
+the rows, an XOR-reduce) instead of the 2 m^2 scalar products of a square
+and its reduction.  Binary square-and-multiply is the reference for it in
+tests/test_frobenius.py.  The one equal-degree splitter, _edf,
 serves poly.factor and poly.roots and roots the moduli for embeddings, and
 _fan_out is the one process fan-out behind --threads.
 
@@ -226,7 +228,9 @@ def _frob_rows(ctx, g):
 
     Built on the monic associate of g, which leaves every remainder
     unchanged; row i + 1 is row i times X^p: p shifts, each folding the
-    overflow back by one multiple of g.
+    overflow back by one multiple of g.  Over GF(2^e), e > 1, the table is
+    an int64 (m, m) array for the vector step of _frobmod; over GF(2), with
+    bits for coefficients, the list loop is the faster one.
     """
     g = _monic(ctx, _norm(list(g)))
     if not g:
@@ -236,26 +240,32 @@ def _frob_rows(ctx, g):
     rows = []
     cur = [1] + [0] * (m - 1)
     for _ in range(m):
-        rows.append(_norm(list(cur)))
+        rows.append(list(cur))
         for _ in range(ctx.p):
             lead = cur[-1]
             cur = [0] + cur[:-1]
             if lead:
                 for j in range(m):
                     cur[j] = csub(cur[j], cmul(lead, g[j]))
-    return rows
+    if ctx.p == 2 and ctx.e > 1:
+        return np.array(rows, dtype=np.int64).reshape(m, m)
+    return list(map(_norm, rows))
 
 
 def _frobmod(ctx, a, rows):
     """a^p mod g for a reduced mod g, with rows = _frob_rows(ctx, g).
 
     In characteristic p, (sum a_i X^i)^p = sum a_i^p X^(p*i), so the p-th
-    power is semilinear: raise each coefficient, then add the rows.  The
-    rows with p*i < m are unit vectors, so those coefficients are placed
-    directly (they come first, before any row is added in).
+    power is semilinear: raise each coefficient, then add the rows.  On an
+    array table that is three numpy steps on ctx.vec: square, one product
+    with rows[:len(a)], XOR-reduce.  On a list table the rows with p*i < m
+    are unit vectors, so those coefficients are placed directly.
     """
     m = len(rows)
     p = ctx.p
+    if isinstance(rows, np.ndarray):
+        c = ctx.vec.sq(np.array(a, dtype=np.int64))[:, None]
+        return _norm(np.bitwise_xor.reduce(ctx.vec.mul(c, rows[: len(a)]), axis=0).tolist())
     frob, cmul, cadd = ctx.frob, ctx.mul, ctx.add
     out = [0] * m
     for i, c in enumerate(a):
@@ -274,11 +284,11 @@ def _frobmod(ctx, a, rows):
 def _powmod(ctx, a, n, f, rows=None):
     """a^n mod f, by the base-p digits of n from the top.
 
-    Each digit costs one _frobmod step (about m^2 / 2 products for p = 2,
-    against 2 m^2 for a square and its reduction) plus one modular product
-    by a^digit when the digit is nonzero.  rows, when given, must be
-    _frob_rows(ctx, f); callers that reduce many powers modulo one f pass it.
-    n = 0 gives [1] for every nonzero f.
+    Each digit costs one _frobmod step (a vector pass over GF(2^e), e > 1,
+    else at most m^2 products, against 2 m^2 for a square and reduction)
+    plus one modular product by a^digit when the digit is nonzero.  rows,
+    when given, must be _frob_rows(ctx, f); callers that reduce many
+    powers modulo one f pass it.  n = 0 gives [1] for every nonzero f.
     """
     a = _mod(ctx, a, f)
     if n < 0:

@@ -14,21 +14,23 @@ irreducible factors (multiplicity collapsed to the radical).  Over the
 unramified t the shapes realize Frobenius cycle types, so the empirical
 distribution can be compared against an exact coset distribution.
 
-Two shape engines back chebotarev_sample.  Small jobs factor each
-fiber directly.  Large char-2 jobs run a vectorized engine that never
-factors, on the base's ff.VecField (log tables up to 2^16 elements,
-byte-table products above, so on every base the API takes): with the
-fixed modulus h = f - t it computes r_d = deg gcd(h, X^(s^d) - X) for
-d = 1, 2, ... by a mask-synchronized Euclidean loop across all live
-fibers at once, and takes the number of distinct degree-d factors from
-r_d = sum over k | d of k * m_k as the rounds run.  A fiber leaves the
-live set once its uncounted degree r is below 2(d + 1), the stopping
-rule poly._ddf uses: every factor of degree <= d is counted, so r is
-zero or one irreducible factor.  Ramified fibers are delegated to the
-direct path; their branch set, from one factorization of f', is found once
-per run, before the fibers are split across jobs.  A fixed subsample (the
-first, middle and last unramified fiber) of every vectorized run is
-re-checked against the direct path.
+Two shape engines back chebotarev_sample.  Small jobs read each fiber's
+factor degrees from its distinct-degree split (poly._squarefree_decomp,
+then poly._ddf: a product of degree D at level d holds D / d factors), so
+no factor is split off; the full factor runs only for the checks.  Large
+char-2 jobs run a vectorized engine that never factors, on the base's
+ff.VecField (log tables up to 2^16 elements, byte-table products above, so
+on every base the API takes): with the fixed modulus h = f - t it computes
+r_d = deg gcd(h, X^(s^d) - X) for d = 1, 2, ... by a mask-synchronized
+Euclidean loop across all live fibers at once, and takes the number of
+distinct degree-d factors from r_d = sum over k | d of k * m_k as the
+rounds run.  A fiber leaves the live set once its uncounted degree r is
+below 2(d + 1), the stopping rule poly._ddf uses: every factor of degree
+<= d is counted, so r is zero or one irreducible factor.  Ramified fibers
+are delegated to the direct path; their branch set, from one factorization
+of f', is found once per run, before the fibers are split across jobs.  A
+fixed subsample (the first, middle and last unramified fiber) of every
+vectorized run is re-checked against full factorization.
 
 Orbit reduction: when f has coefficients in GF(p^a), applying the
 Frobenius x -> x^(p^a) to f - t gives f - t^(p^a), so the two fibers
@@ -49,7 +51,7 @@ import numpy as np
 
 from .ff import (FieldElem, _fan_out, _frob_orbits, _frob_step, embed, lift, log_p,
                  make_field)
-from .poly import UniPoly, factor
+from .poly import UniPoly, _ddf, _squarefree_decomp, factor
 
 # Exhaustive sampling is capped at this base-field size.
 EXHAUSTIVE_LIMIT = 1 << 20
@@ -337,8 +339,25 @@ def coset_cycle_types(q, j):
 # Shape engines
 
 
+def _shape_ddf(fb, t):
+    """Radical factorization shape of f - t from the distinct-degree split:
+    a product of degree D at level d holds D / d factors of degree d, and
+    the squarefree parts are coprime, so no factor is counted twice."""
+    h = (fb - UniPoly.const(fb.ctx, t)).monic()
+    shape = []
+    for g, _mult in _squarefree_decomp(h):
+        for prod, d in _ddf(g):
+            if prod.degree % d:
+                raise ArithmeticError("degree %d at level %d of fiber %d" % (prod.degree, d, t))
+            shape += [d] * (prod.degree // d)
+    if not shape:
+        raise ArithmeticError("fiber at t index %d has no factor" % t)
+    return tuple(sorted(shape))
+
+
 def _shape_one(fb, t):
-    """Radical factorization shape of f - t by direct factorization."""
+    """Radical factorization shape of f - t by full factorization; the
+    independent path behind the spot checks and the orbit check."""
     h = fb - UniPoly.const(fb.ctx, t)
     fac = factor(h, seed=0)
     shape = tuple(sorted(p.degree for p, _mult in fac.factors))
@@ -451,7 +470,7 @@ def _vector_shapes(fb, ts, branch_set):
         live = []
         for i, t in enumerate(tchunk.tolist()):
             if t in branch_set:
-                shapes[lo + i] = _shape_one(fb, t)
+                shapes[lo + i] = _shape_ddf(fb, t)
             else:
                 live.append(i)
         live = np.array(live, dtype=np.int64)
@@ -549,7 +568,7 @@ def _shapes_for(fb, ts, branch=None):
     _branch_set(fb), found here when a vectorized batch is not given it."""
     if _vectorizes(fb, len(ts)):
         return _vector_shapes(fb, ts, _branch_set(fb) if branch is None else branch)
-    return [_shape_one(fb, t) for t in ts]
+    return [_shape_ddf(fb, t) for t in ts]
 
 
 def _subfield_degree(fb):

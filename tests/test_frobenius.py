@@ -11,18 +11,23 @@ import functools
 import json
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excpoly import UniPoly, factor, make_field, roots
-from excpoly.ff import _add, _frob_rows, _frobmod, _mod, _mul, _norm, _powmod, _trace_map
+from excpoly.ff import (TABLE_LIMIT, _add, _frob_rows, _frobmod, _mod, _mul, _norm, _powmod,
+                        _trace_map)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "factor_golden.json"
 
 # table fields in both characteristics; their products are exact lookups,
-# so the reference loop stays cheap at degree 30
-FIELDS = [(2, 1), (2, 2), (2, 4), (2, 8), (2, 12), (3, 1), (3, 2), (3, 3)]
+# so the reference loop stays cheap at degree 30.  GF(2^17) has no tables:
+# it puts the byte-table products of VecField under the vector step of
+# _frobmod, at degrees up to BIG_FIELD_DEGREE.
+FIELDS = [(2, 1), (2, 2), (2, 4), (2, 8), (2, 12), (2, 17), (3, 1), (3, 2), (3, 3)]
+BIG_FIELD_DEGREE = 12
 
 
 def powmod_reference(ctx, a, n, f):
@@ -45,7 +50,7 @@ def modular_cases(draw, max_degree=30):
     p, e = draw(st.sampled_from(FIELDS))
     ctx = make_field(p, e)
     elem = st.integers(0, ctx.order - 1)
-    m = draw(st.integers(1, max_degree))
+    m = draw(st.integers(1, max_degree if ctx.order <= TABLE_LIMIT else BIG_FIELD_DEGREE))
     lead = 1 if draw(st.booleans()) else draw(st.integers(1, ctx.order - 1))
     f = draw(st.lists(elem, min_size=m, max_size=m)) + [lead]
     a = _norm(draw(st.lists(elem, max_size=2 * m)))
@@ -80,7 +85,14 @@ def test_frob_rows_are_the_p_multiple_powers_of_x(case):
     ctx, _a, f = case
     rows = _frob_rows(ctx, f)
     assert len(rows) == len(f) - 1
+    # over GF(2^e), e > 1, one int64 (m, m) array, row i padded with zeros
+    array = ctx.p == 2 and ctx.e > 1
+    assert isinstance(rows, np.ndarray) == array
+    if array:
+        assert rows.dtype == np.int64 and rows.shape == (len(f) - 1,) * 2
     for i, row in enumerate(rows):
+        if array:
+            row = _norm(list(row))
         assert row == _mod(ctx, [0] * (ctx.p * i) + [1], f)
 
 
@@ -125,11 +137,14 @@ def test_powmod_contract_edges():
             _frob_rows(ctx, [0])
         with pytest.raises(ValueError):
             _powmod(ctx, [1, 1], -1, f)
+        # zero squares to zero, also on the vector step over GF(8)
+        assert _frobmod(ctx, [], _frob_rows(ctx, f)) == []
     # the bit-serial multiplier above the table limit
     g17 = make_field(2, 17)
     f = [5, 1 << 16, 0, 77, 3, 1 << 10]
     for n in (0, 1, 2, g17.order, (g17.order - 1) // 2, 12345):
         assert _powmod(g17, [9, 1], n, f) == powmod_reference(g17, [9, 1], n, f)
+    assert _frobmod(g17, [], _frob_rows(g17, f)) == []
 
 
 def _golden_cases():

@@ -29,7 +29,7 @@ from excpoly import (
     f_closed,
     make_field,
 )
-from excpoly import monodromy
+from excpoly import cli, monodromy
 from excpoly.ff import _frob_orbits, lift
 from excpoly.poly import factor
 
@@ -424,28 +424,106 @@ def test_shape_engine_runs_above_the_table_limit(monkeypatch):
 
 
 def test_spot_checks_factor_unramified_fibers_once(monkeypatch):
-    """Over GF(4^4) the engine factors each ramified representative once,
-    spends its spot checks on unramified fibers, and no t is factored twice."""
+    """Over GF(4^4) the engine reads the shape of each ramified representative
+    once from the distinct-degree split, spends its spot checks (full
+    factorizations) on unramified fibers, and no t is shaped twice."""
     f = f_closed(8, FieldElem(G4, 2))
     base = make_field(2, 8)
     reps = set(_frob_orbits(base, 2, range(base.order))[0].tolist())
     ramified = {b.i for b in branch_points(f, base)} & reps
     assert ramified and len(reps) >= monodromy.VECTOR_MIN_FIBERS
     calls = []
-    shape_one = monodromy._shape_one
 
-    def spy(fb, t):
-        calls.append((sys._getframe(1).f_code.co_name, t))
-        return shape_one(fb, t)
+    def spy_on(name):
+        shape = getattr(monodromy, name)
 
-    monkeypatch.setattr(monodromy, "_shape_one", spy)
+        def spy(fb, t):
+            calls.append((name, sys._getframe(1).f_code.co_name, t))
+            return shape(fb, t)
+        monkeypatch.setattr(monodromy, name, spy)
+
+    spy_on("_shape_ddf")
+    spy_on("_shape_one")
     chebotarev_sample(f, base)
-    ts = [t for _, t in calls]
+    ts = [t for _, _, t in calls]
     assert len(ts) == len(set(ts))
-    engine = [t for caller, t in calls if caller == "_vector_shapes"]
-    assert sorted(t for t in engine if t in ramified) == sorted(ramified)
+    engine = [(name, t) for name, caller, t in calls if caller == "_vector_shapes"]
+    assert sorted(t for name, t in engine if name == "_shape_ddf") == sorted(ramified)
     # the rest are the spot checks, all unramified
-    assert len(engine) - len(ramified) == monodromy.VECTOR_SPOT_CHECKS
+    checks = [t for name, t in engine if name == "_shape_one"]
+    assert len(checks) == monodromy.VECTOR_SPOT_CHECKS
+    assert not set(checks) & ramified
+
+
+def test_cold_chebotarev_run_factors_at_most_twice(tmp_path, monkeypatch, capsys):
+    """The 16 sampled fibers take their shapes from the distinct-degree split;
+    full factor runs only for the checks."""
+    calls = []
+    factor_ = monodromy.factor
+
+    def spy(f, seed=0):
+        calls.append(f.degree)
+        return factor_(f, seed=seed)
+
+    monkeypatch.setattr(monodromy, "factor", spy)
+    code = cli.run([
+        "chebotarev", "--q", "8", "--alpha-index", "2", "--field", "p=2,e=2", "--j", "4",
+        "--mode", "sampled", "--n", "16", "--seed", "11", "--cache-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert 1 <= len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# The direct shape path: degrees from poly._squarefree_decomp and poly._ddf,
+# against full factorization
+
+
+@st.composite
+def shape_cases(draw):
+    """(f, t) over a table field GF(2^e) or GF(3^e): f - t is a product of
+    random monic factors, some raised to the power 2, p or p + 1, so that
+    squares and p-th powers (poly._pth_root_poly) occur."""
+    p, e = draw(st.sampled_from([(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 3)]))
+    ctx = make_field(p, e)
+    coeff = st.integers(0, ctx.order - 1)
+    m = draw(st.integers(1, 18))
+    h = UniPoly.one(ctx)
+    while h.degree < m:
+        k = draw(st.integers(1, 5))
+        g = UniPoly(ctx, draw(st.lists(coeff, min_size=k, max_size=k)) + [1])
+        for _ in range(draw(st.sampled_from([1, 2, p, p + 1]))):
+            h = h * g
+    t = draw(coeff)
+    return h + UniPoly.const(ctx, t), t
+
+
+def test_shapes_from_the_distinct_degree_split_match_factor():
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shape_cases())
+    def check(case):
+        f, t = case
+        assert monodromy._shape_ddf(f, t) == monodromy._shape_one(f, t)
+
+    check()
+    # the branch value t = 0 of the main family, over its own field
+    for alpha in (2, 3):
+        f = f_closed(8, FieldElem(G4, alpha))
+        assert monodromy._shape_ddf(f, 0) == monodromy._shape_one(f, 0)
+        assert sum(monodromy._shape_ddf(f, 0)) < f.degree
+
+
+@pytest.mark.parametrize("base_e", [4, 8], ids=["direct", "vector-ramified"])
+@pytest.mark.parametrize("ddf, match", [
+    (lambda g: [(g, g.degree + 1)], "at level"),
+    (lambda g: [], "has no factor"),
+], ids=["degree-off-level", "no-parts"])
+def test_shape_ddf_errors_fire(monkeypatch, base_e, ddf, match):
+    """Census mutants: a distinct-degree part whose degree is not a multiple of
+    its level, or a split with no parts at all, must raise."""
+    monkeypatch.setattr(monodromy, "_ddf", ddf)
+    with pytest.raises(ArithmeticError, match=match):
+        chebotarev_sample(f_closed(8, FieldElem(G4, 2)), make_field(2, base_e))
 
 
 def test_vector_engine_checks_survive_python_O():
