@@ -8,7 +8,10 @@ characteristic-2 fields, and uses digit schoolbook arithmetic otherwise.
 
 VecField is the one numpy kernel for GF(2^e), built once per context as
 ctx.vec: log/exp lookups where the context has tables, carry-less byte
-tables above 2^16.  Counts, shape engine, orbits and scans all run on it.
+tables above 2^16.  Its log table gives 0 the sentinel 2(2^e - 1), which
+an exp table one slot longer clips to 0, so a product takes no zero mask.
+Counts, shape engine, orbits and scans all run on it.  Over GF(2^e), e > 1,
+the tables are built by shifting x^i and folding in the modulus.
 
 The raw polynomial kernels on coefficient lists live here too, shared by
 poly and the modulus checks.  Modular powers (_powmod) take each p-th
@@ -474,7 +477,13 @@ class FieldCtx:
             exp[i] = cur
             exp[i + n] = cur
             log[cur] = i
-            cur = self._mul_raw(cur, self.gen)
+            if self.p == 2 and self.e > 1:
+                # the generator is x: shift, and fold x^e back in by the modulus
+                cur <<= 1
+                if cur >> self.e:
+                    cur ^= self._mask
+            else:
+                cur = self._mul_raw(cur, self.gen)
         if cur != 1:
             raise ArithmeticError("generator order does not divide p^e - 1")
         self._exp = exp
@@ -753,7 +762,12 @@ class VecField:
     """GF(2^N) arithmetic on numpy int64 arrays of packed elements.
 
     A context with log tables (at most TABLE_LIMIT elements) multiplies and
-    inverts by log/exp lookups.  Larger ones, up to MAX_ORDER, take
+    inverts by log/exp lookups.  With n = order - 1 the log of 0 is the
+    sentinel 2n and exp gains one slot, exp[2n] = 0: two nonzero logs sum
+    to at most 2n - 2 and a sum with a zero factor to at least 2n, so mul
+    reads exp at the sum clipped to 2n, one gather per operand and one per
+    result with no zero mask.  An index at or above order still raises
+    IndexError.  Larger ones, up to MAX_ORDER, take
     carry-less byte-by-byte table products and fold the bits from N up back
     in through the F_2-linear map h -> (h << N) mod f.  Every F_2-linear map
     (that fold, the Frobenius powers, the trace T) is applied through byte
@@ -769,9 +783,9 @@ class VecField:
         self._maps = {}
         self._exp = self._log = None
         if ctx._log is not None:
-            self._exp = np.array(ctx._exp, dtype=np.int64)
-            # log of 0 is never used: every lookup masks zero operands
-            self._log = np.array([max(v, 0) for v in ctx._log], dtype=np.int64)
+            self._exp = np.array(ctx._exp + [0], dtype=np.int64)
+            self._log = np.array(ctx._log, dtype=np.int64)
+            self._log[0] = 2 * (ctx.order - 1)  # the zero sentinel
             return
         self._clmul = _clmul8_table()
         self._fold = self.linear("fold", lambda h: ctx._reduce2(h << self.N))
@@ -805,8 +819,8 @@ class VecField:
 
     def mul(self, a, b):
         if self._log is not None:
-            ok = (a != 0) & (b != 0)
-            return np.where(ok, self._exp[self._log[a] + self._log[b]], 0)
+            log = self._log
+            return np.take(self._exp, np.take(log, a) + np.take(log, b), mode="clip")
         nbytes = (self.N + 7) // 8
         bb = [(b >> (8 * j)) & 0xFF for j in range(nbytes)]
         r = 0
@@ -865,7 +879,7 @@ class VecField:
     def inv(self, a):
         if self._log is not None:
             n = self.ctx.order - 1
-            return np.where(a != 0, self._exp[n - self._log[a]], 0)
+            return np.where(a != 0, np.take(self._exp, n - np.take(self._log, a)), 0)
         # a^(2^N - 2) = (a^(1 + 2 + ... + 2^(N-2)))^2
         return self.sq(self._geometric(a, 1, self.N - 1))
 

@@ -399,6 +399,7 @@ def _gcd_degrees(vf, H, V0):
     V = np.zeros_like(U)
     V[:, : V0.shape[1]] = V0
     cols = np.arange(width)
+    rows = np.arange(nf)
 
     def degrees(M):
         nz = M != 0
@@ -431,14 +432,13 @@ def _gcd_degrees(vf, H, V0):
             active = dV >= 0
             if not active.any():
                 break
-        lu = np.take_along_axis(U, np.maximum(dU, 0)[:, None], axis=1)[:, 0]
-        lv = np.take_along_axis(V, np.maximum(dV, 0)[:, None], axis=1)[:, 0]
+        lu = U[rows, np.maximum(dU, 0)]
+        lv = V[rows, np.maximum(dV, 0)]
         # finished fibers have V = 0, so lv = 0 and inv(0) = 0 leave U alone
         coef = vf.mul(lu, vf.inv(lv))
         shift = np.maximum(dU - dV, 0)
         src = cols[None, :] - shift[:, None]
-        vsh = np.where(
-            src >= 0, np.take_along_axis(V, np.maximum(src, 0), axis=1), 0)
+        vsh = np.where(src >= 0, V[rows[:, None], np.maximum(src, 0)], 0)
         U = U ^ vf.mul(coef[:, None], vsh)
         dU = np.where(active, degrees(U), dU)
     return dU

@@ -391,6 +391,43 @@ def test_vector_field_kernels_match_scalar_arithmetic(e):
     check()
 
 
+@pytest.mark.parametrize("e", [2, 4, 8])
+def test_log_table_kernel_edge_cases(e):
+    """The sentinel log of 0 clips every product with a zero factor to 0; all
+    pairs, plain-int and broadcast operands, dtype and range errors, and the
+    scalar tables left as they were."""
+    ctx = FieldCtx(2, e, make_field(2, e).modulus)
+    exp, log = list(ctx._exp), list(ctx._log)
+    vf = ctx.vec
+    assert ctx._exp == exp and ctx._log == log and ctx._log[0] == -1
+    elems = np.arange(ctx.order, dtype=np.int64)
+    A, B = np.meshgrid(elems, elems, indexing="ij")
+    prod = vf.mul(A, B)
+    assert prod.dtype == np.int64
+    assert prod.tolist() == [[ctx.mul(int(a), int(b)) for b in elems] for a in elems]
+    inv = vf.inv(elems)
+    assert inv.dtype == np.int64
+    assert inv.tolist() == [0] + [ctx.inv(int(a)) for a in elems[1:]]
+    last = ctx.order - 1
+    assert vf.mul(np.array([0, 0, last]), np.array([0, last, 0])).tolist() == [0, 0, 0]
+    assert vf.mul(0, elems).tolist() == [0] * ctx.order
+    assert vf.mul(elems, 0).tolist() == [0] * ctx.order
+    assert vf.mul(0, 0) == 0 and vf.mul(last, 0) == 0
+    assert vf.mul(last, last) == ctx.mul(last, last)
+    assert vf.mul(elems, 1).tolist() == elems.tolist()
+    # the Euclid engine's (k, 1) x (k, m) product
+    col = elems[:, None]
+    assert (vf.mul(col, B) == prod).all()
+    for bad in (np.array([ctx.order]), np.array([ctx.order + 5])):
+        with pytest.raises(IndexError):
+            vf.mul(bad, np.array([1]))
+        with pytest.raises(IndexError):
+            vf.mul(np.array([0]), bad)
+        with pytest.raises(IndexError):
+            vf.inv(bad)
+    assert ctx._exp == exp and ctx._log == log
+
+
 def test_count_first_extension_all_parameters():
     for ci in range(2, 8):
         model = plane_model(4, FieldElem(G16, ci))

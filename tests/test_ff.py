@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excpoly
-from excpoly import BiPoly, FieldElem, UniPoly, embed, field_from_json, make_field, rel_trace
+from excpoly import BiPoly, FieldElem, UniPoly, embed, ff, field_from_json, make_field, rel_trace
 from excpoly.curves import FnField, RatFn
 from excpoly.ff import MAX_ORDER, FieldCtx, TABLE_LIMIT, is_prime, lift, log_p, prime_factors
 
@@ -85,6 +85,53 @@ def test_generator_order_in_gf16():
         seen.add(cur)
     assert ctx.mul(cur, g) == 1
     assert len(seen) == 14  # all nonzero non-identity powers distinct
+
+
+def _reference_tables(ctx):
+    """exp/log by the chain cur -> cur * gen through _mul_raw, the table
+    build before p = 2 stepped by shift and fold."""
+    n = ctx.order - 1
+    exp, log = [0] * (2 * n), [-1] * ctx.order
+    cur = 1
+    for i in range(n):
+        exp[i] = exp[i + n] = cur
+        log[cur] = i
+        cur = ctx._mul_raw(cur, ctx.gen)
+    assert cur == 1
+    return exp, log
+
+
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(2, 17)] + [(3, 3)])
+def test_table_build_matches_the_multiplication_chain(monkeypatch, p, e):
+    real = FieldCtx._mul_raw
+    calls = []
+
+    def spy(self, a, b):
+        calls.append(b)
+        return real(self, a, b)
+
+    ctx = FieldCtx(p, e, make_field(p, e).modulus)
+    ref = _reference_tables(ctx)
+    monkeypatch.setattr(FieldCtx, "_mul_raw", spy)
+    ctx._build_tables()
+    # p = 2 shifts and folds; p = 3 still multiplies by the generator
+    assert calls == ([] if p == 2 else [ctx.gen] * (ctx.order - 1))
+    assert (ctx._exp, ctx._log) == ref
+
+
+@pytest.mark.parametrize("modulus,patched,match", [
+    # irreducible, but x has order 5 in GF(16)^*
+    ((1, 1, 1, 1, 1), ("_is_primitive",), "closed early"),
+    # X^2: the chain 1, x, 0 ends at 0
+    ((0, 0, 1), ("_is_irreducible", "_is_primitive"), "does not divide"),
+])
+def test_table_build_errors_fire(monkeypatch, modulus, patched, match):
+    """Census mutants: a modulus the field checks wrongly let through must
+    stop the table build."""
+    for name in patched:
+        monkeypatch.setattr(ff, name, lambda *args: True)
+    with pytest.raises(ArithmeticError, match=match):
+        FieldCtx(2, len(modulus) - 1, modulus)
 
 
 @pytest.mark.parametrize("p,e", AXIOM_FIELDS)

@@ -29,7 +29,7 @@ from excpoly import (
     f_closed,
     make_field,
 )
-from excpoly import cli, monodromy
+from excpoly import cli, ff, monodromy
 from excpoly.ff import _frob_orbits, lift
 from excpoly.poly import factor
 
@@ -678,3 +678,39 @@ def test_vector_engine_rounds_stop_at_the_largest_part(monkeypatch):
     assert largest == 9 < f.degree // 2
     assert len(rows) == largest
     assert rows == sorted(rows, reverse=True)
+
+
+ROW_KINDS = ["random", "zero", "const", "same", "shared"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([8, 12, 17]), st.integers(1, 7),
+       st.lists(st.tuples(st.sampled_from(ROW_KINDS), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=12))
+def test_gcd_degrees_matches_scalar_euclid(e, m, rows):
+    """The batched Euclid against ff._gcd row by row, on log tables (2^8,
+    2^12) and byte tables (2^17): V0 = 0, a nonzero constant, V0 = H, and
+    pairs built with a common factor, beside random rows."""
+    ctx = make_field(2, e)
+    H = np.zeros((len(rows), m + 1), dtype=np.int64)
+    V0 = np.zeros_like(H)
+    for r, (kind, seed) in enumerate(rows):
+        rng = random.Random(seed)
+
+        def rand(k):
+            return [rng.randrange(ctx.order) for _ in range(k)]
+
+        if kind == "shared":
+            dg = rng.randint(1, m)
+            g = rand(dg) + [1]
+            h = ff._mul(ctx, g, rand(m - dg) + [1])
+            v = ff._mul(ctx, g, rand(m - dg + 1))
+        else:
+            h = rand(m) + [1]
+            v = {"random": rand(m + 1), "zero": [], "const": [rng.randrange(1, ctx.order)],
+                 "same": h}[kind]
+        H[r] = h
+        V0[r, : len(v)] = v
+    got = monodromy._gcd_degrees(ctx.vec, H, V0)
+    assert got.tolist() == [len(ff._gcd(ctx, h, v)) - 1
+                            for h, v in zip(H.tolist(), V0.tolist())]
