@@ -9,14 +9,16 @@ check carries a name, a status (pass, fail, or recorded), its data, and
 its wall-clock seconds.  The report goes to stdout and, with --report,
 to a file; two runs with the same config produce identical reports
 except for the seconds fields.  Exit code 0 means every pass-type check
-passed; 2 is a usage error; 3 is a named guard violation.
+passed; 2 is a usage error; 3 is a named guard violation, among them an
+--out, --csv or --report path that cannot be written.
 
 Expensive payloads (zeta data, shape distributions) live in a
 content-addressed cache keyed by a canonical serialization of the run's
 mathematical parameters and the package version (not the output paths,
 --cache-dir or --threads), each entry checksummed and replayed through
 the library's validation on a hit; a corrupt entry is recomputed and
-overwritten with a warning.  The cache
+overwritten with a warning.  The cache only saves time, so a cache
+directory that cannot be written is a warning too.  The cache
 directory is --cache-dir, else $EXCPOLY_CACHE, else ~/.cache/excpoly.
 """
 
@@ -133,7 +135,7 @@ def cache_get(cdir, key, decode=None):
 
 
 def cache_put(cdir, key, payload):
-    os.makedirs(cdir, exist_ok=True)
+    """Store payload under key; False, with a warning, when cdir cannot take it."""
     entry = {
         "key": key,
         "sha256": hashlib.sha256(payload.encode()).hexdigest(),
@@ -141,9 +143,15 @@ def cache_put(cdir, key, payload):
     }
     path = os.path.join(cdir, key + ".json")
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(entry, fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(cdir, exist_ok=True)
+        with open(tmp, "w") as fh:
+            json.dump(entry, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as err:
+        print("cache entry %s not stored (%s); continuing" % (key[:12], err), file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +177,40 @@ class Runner:
             {"name": name, "status": status, "data": data, "seconds": secs})
         return ok, data
 
-    def report(self):
-        return {"config": self.cfg, "version": __version__, "checks": self.checks}
+    def guard(self, err):
+        self.checks.append(
+            {"name": "guard", "status": "fail", "data": {"guard": str(err)}, "seconds": 0.0})
+
+    def text(self):
+        report = {"config": self.cfg, "version": __version__, "checks": self.checks}
+        return json.dumps(report, sort_keys=True, indent=2)
 
     def exit_code(self):
+        if any(c["name"] == "guard" for c in self.checks):
+            return 3
         return 0 if all(c["status"] != "fail" for c in self.checks) else 1
 
 
-def _emit(runner, args):
-    text = json.dumps(runner.report(), sort_keys=True, indent=2)
-    print(text)
-    if getattr(args, "report", None):
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+def _write_file(path, write, newline=None):
+    """write(fh) into path opened for writing, or the output-path guard."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as err:
+        raise Guard("output-path: cannot write %s (%s)" % (path, err.strerror or err))
 
 
 def _write_artifact(path, payload):
-    with open(path, "w") as fh:
-        fh.write(payload)
-        if not payload.endswith("\n"):
-            fh.write("\n")
+    text = payload if payload.endswith("\n") else payload + "\n"
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+    _write_file(path, write, newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +345,8 @@ def _zeta(args, runner):
             body = zeta(model, 6, threads=args.threads).to_json()
             body["c"] = {"field_e": 4, "index": c.i}
             payload = json.dumps(body, sort_keys=True, indent=2)
-            cache_put(cdir, key, payload)
-            print("zeta: computed and cached under %s" % key[:12], file=sys.stderr)
+            if cache_put(cdir, key, payload):
+                print("zeta: computed and cached under %s" % key[:12], file=sys.stderr)
         else:
             print("zeta: served from cache %s" % key[:12], file=sys.stderr)
         if args.out:
@@ -517,12 +532,15 @@ def run(argv):
     try:
         args.func(args, runner)
     except Guard as err:
-        runner.checks.append(
-            {"name": "guard", "status": "fail",
-             "data": {"guard": str(err)}, "seconds": 0.0})
-        _emit(runner, args)
-        return 3
-    _emit(runner, args)
+        runner.guard(err)
+    text = runner.text()
+    if args.report:
+        try:
+            _write_artifact(args.report, text)
+        except Guard as err:
+            runner.guard(err)
+            text = runner.text()
+    print(text)
     return runner.exit_code()
 
 

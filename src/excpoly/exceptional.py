@@ -130,8 +130,7 @@ def _verdict_dickson(spec, base):
     # primitive d-th roots of unity there (d prime: all d-1 of them, or none).
     big = make_field(p, 2 * base.e)
     hit = False
-    nroots = math.gcd(d, big.order - 1)
-    if nroots == d:
+    if (big.order - 1) % d == 0:
         z0 = big.pow_(big.gen, (big.order - 1) // d)
         z = z0
         for _ in range(d - 1):
@@ -139,8 +138,6 @@ def _verdict_dickson(spec, base):
             if big.pow_(c, s) == c:
                 hit = True
             z = big.mul(z, z0)
-    elif nroots != 1:
-        raise ArithmeticError(f"{nroots} d-th roots of unity for prime d = {d}")
     if hit == verdict:
         raise ArithmeticError(f"Dickson verdict {verdict} disagrees with the enumeration")
     return verdict

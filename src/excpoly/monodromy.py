@@ -261,8 +261,6 @@ class PermAction:
                 t = perm[t]
                 length += 1
             parts.append(length)
-        if sum(parts) != n:
-            raise ArithmeticError("cycle lengths sum to %d, not %d" % (sum(parts), n))
         return tuple(sorted(parts))
 
     def _validate(self):
@@ -291,9 +289,6 @@ class PermAction:
         if stab != 2 * (q + 1):
             raise ArithmeticError(
                 "stabilizer order %d, want %d" % (stab, 2 * (q + 1)))
-        # Orbit-stabilizer consistency.
-        if stab * n != q ** 3 - q:
-            raise ArithmeticError("orbit-stabilizer count %d * %d" % (stab, n))
 
 
 _ACTIONS = {}

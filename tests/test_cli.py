@@ -510,3 +510,55 @@ def test_verify_all_q_guard(capsys):
     code, rep, _ = run_json(capsys, ["verify-all", "--q", "16", "--seed", "1"])
     assert code == 3
     assert rep["checks"][-1]["data"]["guard"].startswith("verify-all-q-range")
+
+
+# ---------------------------------------------------------------------------
+# paths that cannot be written (a regular file used as the parent directory;
+# permission bits would not stop a root user)
+
+
+CHAR2 = ["--q", "8", "--alpha-index", "2", "--field", "p=2,e=2"]
+
+
+@pytest.fixture
+def afile(tmp_path):
+    path = tmp_path / "afile"
+    path.write_text("not a directory\n")
+    return path
+
+
+def test_unwritable_cache_dir_warns_and_keeps_the_report(capsys, afile):
+    argv = ["chebotarev"] + CHAR2 + ["--j", "2", "--cache-dir", str(afile)]
+    code, rep, err = run_json(capsys, argv)
+    assert code == 0 and "not stored" in err
+    assert [c["name"] for c in rep["checks"]] == [
+        "shape-inclusion-j2", "tv-distance-j2", "branch-points-j2"]
+    assert afile.read_text() == "not a directory\n"
+
+
+def test_unwritable_cache_dir_under_zeta(capsys, monkeypatch, afile, zeta_c2):
+    monkeypatch.setattr(cli, "zeta", lambda model, g, threads=1, counts=None: zeta_c2)
+    argv = ["zeta", "--q", "4", "--c-index", "2", "--cache-dir", str(afile)]
+    code, rep, err = run_json(capsys, argv)
+    assert code == 0 and "not stored" in err and "computed and cached" not in err
+    assert rep["checks"][0]["name"] == "zeta" and rep["checks"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["gen", "--family", "char2-new"] + CHAR2 + ["--out"], None),
+    (["check-perm", "--family", "char2-new"] + CHAR2 + ["--extensions", "1,2", "--out"],
+     "perm-grid"),
+    (["check-perm", "--family", "char2-new"] + CHAR2 + ["--extensions", "1,2", "--csv"],
+     "perm-grid"),
+    (["chebotarev"] + CHAR2 + ["--j", "2", "--csv"], "branch-points-j2"),
+    (["weil", "--q", "8", "--report"], "weil-divisor-cases"),
+], ids=["gen-out", "check-perm-out", "check-perm-csv", "chebotarev-csv", "weil-report"])
+def test_unwritable_output_path_is_a_guard(capsys, monkeypatch, tmp_path, afile, argv, last):
+    monkeypatch.setenv("EXCPOLY_CACHE", str(tmp_path / "cache"))
+    code, rep, err = run_json(capsys, argv + [str(afile / "x")])
+    assert code == 3 and "Traceback" not in err
+    guard = rep["checks"][-1]
+    assert guard["name"] == "guard" and guard["data"]["guard"].startswith("output-path")
+    assert str(afile / "x") in guard["data"]["guard"]
+    names = [c["name"] for c in rep["checks"][:-1]]
+    assert (names[-1] if names else None) == last

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import excpoly
 from excpoly import (
+    BiPoly,
     FieldElem,
     ZetaData,
     count_points,
@@ -111,11 +112,17 @@ def test_certificate_input_errors():
 # cover automorphisms and the quotient
 
 
-def test_b_action_and_mutation():
+def test_b_action_and_mutation(monkeypatch):
     assert verify_b_action(8, FieldElem(G4, 2), FieldElem(G2, 1)) is True
-    assert verify_b_action(8, FieldElem(G4, 2), FieldElem(G2, 1), mutate=True) is False
     assert verify_b_action(4, FieldElem(G16, 2), FieldElem(G16, 7)) is True
-    assert verify_b_action(4, FieldElem(G16, 2), FieldElem(G16, 7), mutate=True) is False
+    # mutation control: a stray V*W term is moved by the diagonal w -> g^2 w,
+    # v -> g^2 v by g^4, not by the unit g^2 the rest of E picks up
+    real = curves._cab_poly
+    monkeypatch.setattr(curves, "_cab_poly",
+                        lambda q, ctx, a, b: real(q, ctx, a, b) + BiPoly(ctx, {(1, 1): 1}))
+    assert verify_b_action(8, FieldElem(G4, 2), FieldElem(G2, 1)) is False
+    assert verify_b_action(4, FieldElem(G16, 2), FieldElem(G16, 7)) is False
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         verify_b_action(8, FieldElem(G4, 0), FieldElem(G2, 1))
     with pytest.raises(ValueError):
@@ -470,6 +477,7 @@ def test_zeta_frozen_values(zeta_c2):
     assert z.L == C2_L
     assert z.p_rank == 6
     assert z.L[12] == 16**6
+    assert _counts_from_l(z.L, 16, 6) == list(z.counts)
 
 
 def test_zeta_functional_equation(zeta_c2):
@@ -492,6 +500,49 @@ def test_zeta_rejects_corrupt_counts():
         zeta(model, 6, counts=bad)
     with pytest.raises(ValueError):
         zeta(model, 6, counts=list(C2_COUNTS[:4]))
+
+
+def _counts_from_l(L, base, g):
+    """N_1..N_g of an L-polynomial, by Newton's identities run backwards."""
+    S = []
+    for m in range(1, g + 1):
+        S.append(-m * L[m] - sum(S[j - 1] * L[m - j] for j in range(1, m)))
+    return [base**m + 1 - S[m - 1] for m in range(1, g + 1)]
+
+
+def _perturbations():
+    def at(m):
+        anywhere = st.integers(-3000 * m, 3000 * m).filter(bool)
+        multiple = st.integers(-3000, 3000).filter(bool).map(lambda k: m * k)
+        return st.tuples(st.just(m), st.one_of(anywhere, multiple))
+    return st.sampled_from((5, 6)).flatmap(at)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_perturbations())
+def test_zeta_refuses_perturbed_counts(case):
+    """Census of the zeta checks: a nonzero shift of N_5 or N_6 within
+    +-3000m moves a_m by delta/m.  Integrality refuses it when m does not
+    divide delta, and the exact radius certificate refuses it otherwise."""
+    m, delta = case
+    bad = list(C2_COUNTS)
+    bad[m - 1] += delta
+    match = "not integral" if delta % m else "stray from absolute value"
+    with pytest.raises(ValueError, match=match):
+        zeta(plane_model(4, FieldElem(G16, 2)), 6, counts=bad)
+
+
+def test_zeta_refuses_a_real_root_pair():
+    """L(1) > 0 needs no check of its own.  The pair +4, -4 of real reciprocal
+    roots makes L(1) negative, but its factor 1 - 16T^2 lacks the
+    functional-equation form, and the radius certificate refuses its counts."""
+    L = [1]
+    for f in [(1, 0, -16)] + [(1, 0, 16)] * 5:
+        L = [sum(L[i] * f[n - i] for i in range(len(L)) if 0 <= n - i < len(f))
+             for n in range(len(L) + len(f) - 1)]
+    assert sum(L) == -21297855
+    with pytest.raises(ValueError, match="stray from absolute value"):
+        zeta(plane_model(4, FieldElem(G16, 2)), 6, counts=_counts_from_l(L, 16, 6))
 
 
 def test_zeta_json_round_trip(zeta_c2):
@@ -557,7 +608,9 @@ def test_weil_certificate_agrees_with_radii_on_genus_two():
         for a in range(-8, 9):
             for c in range(-40, 41):
                 L = [1, a, c, a * b, b * b]
-                assert _weil_radius_certified(L, b) == (_weil_radius_deviation(L, b) <= 1e-6)
+                certified = _weil_radius_certified(L, b)
+                assert certified == (_weil_radius_deviation(L, b) <= 1e-6)
+                assert sum(L) > 0 or not certified
 
 
 def test_weil_certificate_rejects_mutants():
