@@ -16,7 +16,6 @@ from .ff import (
     embed,
     field_from_json,
     make_field,
-    rel_trace,
 )
 from .poly import (
     BiPoly,
@@ -74,7 +73,6 @@ __all__ = [
     "embed",
     "field_from_json",
     "make_field",
-    "rel_trace",
     "UniPoly",
     "BiPoly",
     "Factorization",

@@ -107,11 +107,6 @@ class RatFn:
         num = self.num * other.den + other.num * self.den
         return RatFn(num, self.den * other.den)
 
-    def __sub__(self, other):
-        _same_field(self.ctx, other.ctx)
-        num = self.num * other.den - other.num * self.den
-        return RatFn(num, self.den * other.den)
-
     def __mul__(self, other):
         _same_field(self.ctx, other.ctx)
         if self.is_zero() or other.is_zero():
@@ -137,17 +132,6 @@ class RatFn:
         if a == 0:
             return RatFn.zero(self.ctx)
         return RatFn(self.num.scale(a), self.den, reduced=True)
-
-    def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero")
-        return RatFn(self.den, self.num)
-
-    def eval_index(self, x):
-        d = self.den.eval_index(x)
-        if d == 0:
-            raise ZeroDivisionError("evaluated at a pole")
-        return self.ctx.div(self.num.eval_index(x), d)
 
     def __eq__(self, other):
         if not isinstance(other, RatFn):
@@ -922,12 +906,6 @@ class ZetaData:
     def to_json(self):
         return {"g": self.g, "base": self.base, "counts": list(self.counts),
                 "L": list(self.L), "p_rank": self.p_rank}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(int(obj["g"]), int(obj["base"]),
-                   tuple(int(x) for x in obj["counts"]),
-                   tuple(int(x) for x in obj["L"]), int(obj["p_rank"]))
 
 
 def zeta(model, g, threads=1, counts=None):

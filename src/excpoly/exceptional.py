@@ -25,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FamilySpec, _require
-from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, _eval, _fan_out, field_from_json,
-                 is_prime, lift, log_p, make_field, prime_factors)
-
-#: Default cap on the size of any single exhaustively enumerated field.
-SIZE_GUARD = MAX_ORDER
+from .ff import (MAX_ORDER, VEC_CHUNK, FieldCtx, FieldElem, _eval, _fan_out, is_prime, lift,
+                 log_p, make_field, prime_factors)
 
 #: Below this many elements a parallel scan costs more than it saves.
 _PARALLEL_FLOOR = 1 << 12
@@ -246,22 +243,6 @@ class PermReport:
             "witnesses": wits,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        spec = FamilySpec.from_json(obj["spec"])
-        base = field_from_json(obj["base"])
-        wits = {int(w["j"]): (int(w["x1"]), int(w["x2"])) for w in obj.get("witnesses", [])}
-        rows = []
-        for r in obj["rows"]:
-            j = int(r["j"])
-            wit = None
-            if j in wits:
-                ext = make_field(base.p, base.e * j)
-                x1, x2 = wits[j]
-                wit = (FieldElem(ext, x1), FieldElem(ext, x2))
-            rows.append((j, bool(r["bijective"]), wit))
-        return cls(spec=spec, base=base, rows=tuple(rows))
-
 
 def tower_scan(spec, base, degrees, threads=1):
     """Test bijectivity of the family member over GF(base.order^j) for each
@@ -273,8 +254,8 @@ def tower_scan(spec, base, degrees, threads=1):
         _require(j >= 1, "extension degrees must be positive")
         # p >= 2, so p^(e j) >= 2^(e j) exceeds the guard once e j reaches its
         # bit length; only smaller powers are formed
-        if base.e * j >= SIZE_GUARD.bit_length() or base.p ** (base.e * j) > SIZE_GUARD:
-            raise ValueError(f"extension degree {j} exceeds the size guard {SIZE_GUARD}")
+        if base.e * j >= MAX_ORDER.bit_length() or base.p ** (base.e * j) > MAX_ORDER:
+            raise ValueError(f"extension degree {j} exceeds the size guard {MAX_ORDER}")
         ext = make_field(base.p, base.e * j)
         ok, wit = is_permutation(f, ext, threads=threads)
         rows.append((j, ok, wit))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ff import FieldCtx, FieldElem, embed, field_from_json, log_p, make_field
+from .ff import FieldCtx, FieldElem, embed, log_p, make_field
 from .poly import UniPoly
 
 __all__ = [
@@ -255,24 +255,6 @@ class FamilySpec:
             out["field"] = self.field.to_json()
         return out
 
-    @classmethod
-    def from_json(cls, obj):
-        alpha = None
-        field = None
-        if "alpha" in obj:
-            ctx = field_from_json(obj["alpha"]["field"])
-            alpha = FieldElem(ctx, int(obj["alpha"]["index"]))
-        if "field" in obj:
-            field = field_from_json(obj["field"])
-        return cls(
-            kind=obj["kind"],
-            q=obj.get("q"),
-            d=obj.get("d"),
-            n=obj.get("n"),
-            alpha=alpha,
-            field=field,
-        )
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -329,11 +311,7 @@ def canonicalize(f, q):
     )
     base = f_closed(q, FieldElem(ctx, alpha))
     delta = ctx.add(f.coeff(0), ctx.mul(eta, base.eval_index(gamma)))
-    lin = UniPoly(ctx, (gamma, z))
-    g = base.compose(lin).scale(eta) + UniPoly.const(ctx, delta)
-    if g != f:
-        raise NotInFamily("reassembly mismatch")
-    return CanonicalForm(
+    form = CanonicalForm(
         q=q,
         alpha=FieldElem(ctx, alpha),
         zeta=FieldElem(ctx, z),
@@ -341,3 +319,6 @@ def canonicalize(f, q):
         eta=FieldElem(ctx, eta),
         delta=FieldElem(ctx, delta),
     )
+    if form.reassemble() != f:
+        raise NotInFamily("reassembly mismatch")
+    return form

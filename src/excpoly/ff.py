@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 import random
 
 import numpy as np
@@ -51,7 +52,6 @@ __all__ = [
     "Embedding",
     "make_field",
     "embed",
-    "rel_trace",
     "lift",
     "log_p",
     "field_from_json",
@@ -424,8 +424,8 @@ class FieldCtx:
     """Arithmetic context for GF(p^e) under a fixed primitive modulus.
 
     All operations take and return packed integer indices.  Use
-    ``ctx(i)`` or ``ctx.from_coeffs`` for wrapped :class:`FieldElem`
-    values when operator syntax is nicer than explicit calls.
+    ``ctx(i)`` for a wrapped :class:`FieldElem` when operator syntax is
+    nicer than explicit calls.
     """
 
     def __init__(self, p, e, modulus):
@@ -606,15 +606,6 @@ class FieldCtx:
 
     # -- packing helpers
 
-    def from_coeffs(self, cs):
-        cs = list(cs)
-        if len(cs) > self.e:
-            raise ValueError(f"{len(cs)} coefficients do not pack into {self!r}")
-        out = 0
-        for c in reversed(cs):
-            out = out * self.p + (int(c) % self.p)
-        return FieldElem(self, out)
-
     def coeffs(self, a):
         return _digits(a, self.p, self.e)
 
@@ -640,10 +631,6 @@ class FieldCtx:
     @property
     def one(self):
         return FieldElem(self, 1)
-
-    @property
-    def x(self):
-        return FieldElem(self, self.gen)
 
     def to_json(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
@@ -693,10 +680,6 @@ class FieldElem:
     def __init__(self, ctx, i):
         self.ctx = ctx
         self.i = i
-
-    @property
-    def index(self):
-        return self.i
 
     @property
     def coeffs(self):
@@ -943,12 +926,14 @@ def field_from_json(obj):
 
 
 def _fan_out(fn, jobs, threads):
-    """[fn(*job) for job in a list of jobs], in order; on a multiprocessing.Pool(threads)
-    when threads > 1 and there are 2 jobs or more.  fn is then module-level,
-    and a FieldCtx in a job is pickled as its wire form (FieldCtx.__reduce__).
+    """[fn(*job) for job in a list of jobs], in order; on a multiprocessing.Pool
+    of min(threads, len(jobs), cpu count) processes when that is 2 or more.
+    fn is then module-level, and a FieldCtx in a job is pickled as its wire
+    form (FieldCtx.__reduce__).
     """
-    if threads > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(threads) as pool:
+    size = min(threads, len(jobs), os.cpu_count() or 1)
+    if size > 1:
+        with multiprocessing.Pool(size) as pool:
             return pool.starmap(fn, jobs)
     return [fn(*job) for job in jobs]
 
@@ -1059,28 +1044,3 @@ def log_p(q, p):
         raise ValueError(f"{q} is not a power of {p}")
     return e
 
-
-def rel_trace(q, x):
-    """Relative trace of x down to the subfield of size q.
-
-    x lives in GF(q^m); the result is returned as an element of the
-    canonical GF(q) context.
-    """
-    ctx = x.ctx
-    d = log_p(q, ctx.p)
-    if ctx.e % d:
-        raise ValueError(f"GF({ctx.order}) is not an extension of GF({q})")
-    m = ctx.e // d
-    acc = 0
-    cur = x.i
-    for _ in range(m):
-        acc = ctx.add(acc, cur)
-        cur = ctx.pow_(cur, q)
-    if d == ctx.e:
-        return FieldElem(ctx, acc)
-    sub = make_field(ctx.p, d)
-    emb = embed(sub, ctx)
-    j = emb.section_index(acc)
-    if j is None:
-        raise ArithmeticError("relative trace landed outside the subfield")
-    return FieldElem(sub, j)

@@ -106,10 +106,6 @@ class CycleDist:
     def support(self):
         return frozenset(self.entries)
 
-    def full_shapes(self):
-        """Shapes whose parts sum to the full degree (unramified ones)."""
-        return frozenset(s for s in self.entries if sum(s) == self.degree)
-
     def unramified(self):
         """Restriction to full-degree shapes, renormalized."""
         keep = {s: w for s, w in self.entries.items() if sum(s) == self.degree}

@@ -39,7 +39,6 @@ from .ff import (
     _powmod,
     _same_field,
     _sub,
-    field_from_json,
     lift,
 )
 
@@ -222,11 +221,6 @@ class UniPoly:
 
     def to_json(self):
         return {"field": self.ctx.to_json(), "coeffs": list(self.c)}
-
-    @classmethod
-    def from_json(cls, obj):
-        ctx = field_from_json(obj["field"])
-        return cls(ctx, [int(c) for c in obj["coeffs"]])
 
     def __eq__(self, other):
         return (

@@ -47,7 +47,6 @@ CENSUS = {
     ("ff", "FieldCtx._build_tables", "generator order does not"):
         "test_ff.py::test_table_build_errors_fire",
     ("ff", "Embedding.section_index", "embedding not injective"): None,
-    ("ff", "rel_trace", "relative trace landed outside"): None,
     ("monodromy", "PermAction.__init__", "domain size {}"): None,
     ("monodromy", "PermAction.elements", "linear group order {}"): None,
     ("monodromy", "PermAction._validate", "action not transitive: orbit"): None,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from excpoly import FieldElem, UniPoly, dickson, is_permutation, make_field
+from excpoly import FieldElem, dickson, f_closed, is_permutation, make_field
 from excpoly import cli
 from excpoly.cli import Runner, cache_get, cache_put, run
 
@@ -81,8 +81,7 @@ def test_gen_writes_polynomial_json(tmp_path, capsys):
     assert chk["name"] == "gen" and chk["status"] == "recorded"
     assert chk["data"]["degree"] == 28 and chk["data"]["monic"] is True
     obj = json.loads(out.read_text())
-    f = UniPoly.from_json(obj)
-    assert f.degree == 28 and f.ctx is make_field(2, 2)
+    assert obj == f_closed(8, FieldElem(make_field(2, 2), 2)).to_json()
 
 
 def test_gen_guards(capsys):
@@ -299,6 +298,7 @@ def test_zeta_served_from_seeded_cache(capsys, tmp_path, zeta_c2):
     args = cli._build_parser().parse_args(argv)
     cfg = cli._config_dict(args)
     body = zeta_c2.to_json()
+    assert set(body) == {"g", "base", "counts", "L", "p_rank"}
     body["c"] = {"field_e": 4, "index": 2}
     cache_put(cdir, cli._cache_key(cfg), json.dumps(body, sort_keys=True, indent=2))
 

