@@ -11,7 +11,7 @@ formula with an exact division, and a product over the nontrivial
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ff import FieldCtx, FieldElem, embed, log_p, make_field
 from .poly import UniPoly
@@ -309,16 +309,17 @@ def canonicalize(f, q):
         ctx.add(u, ctx.add(ctx.mul(t_gamma, t_gamma), t_gamma)),
         ctx.add(alpha, 1),
     )
-    base = f_closed(q, FieldElem(ctx, alpha))
-    delta = ctx.add(f.coeff(0), ctx.mul(eta, base.eval_index(gamma)))
     form = CanonicalForm(
         q=q,
         alpha=FieldElem(ctx, alpha),
         zeta=FieldElem(ctx, z),
         gamma=FieldElem(ctx, gamma),
         eta=FieldElem(ctx, eta),
-        delta=FieldElem(ctx, delta),
+        delta=FieldElem(ctx, 0),
     )
-    if form.reassemble() != f:
+    # the reassembly with delta = 0 is f - delta when the answer is right
+    g = form.reassemble()
+    delta = ctx.add(f.coeff(0), g.coeff(0))
+    if g + UniPoly.const(ctx, delta) != f:
         raise NotInFamily("reassembly mismatch")
-    return form
+    return replace(form, delta=FieldElem(ctx, delta))

@@ -802,8 +802,7 @@ class VecField:
 
     def mul(self, a, b):
         if self._log is not None:
-            log = self._log
-            return np.take(self._exp, np.take(log, a) + np.take(log, b), mode="clip")
+            return self.times(b)(a)
         nbytes = (self.N + 7) // 8
         bb = [(b >> (8 * j)) & 0xFF for j in range(nbytes)]
         r = 0
@@ -812,6 +811,13 @@ class VecField:
             for j, bj in enumerate(bb):
                 r = r ^ (self._clmul[hi | bj] << (8 * (i + j)))
         return self.reduce(r)
+
+    def times(self, b):
+        """a -> a * b for a fixed b; on log tables log b is looked up once."""
+        if self._log is None:
+            return lambda a: self.mul(a, b)
+        lb = np.take(self._log, b)
+        return lambda a: np.take(self._exp, np.take(self._log, a) + lb, mode="clip")
 
     def sq(self, a):
         return self.pow2(a, 1)

@@ -21,12 +21,15 @@ no factor is split off; the full factor runs only for the checks.  Large
 char-2 jobs run a vectorized engine that never factors, on the base's
 ff.VecField (log tables up to 2^16 elements, byte-table products above, so
 on every base the API takes): with the fixed modulus h = f - t it computes
-r_d = deg gcd(h, X^(s^d) - X) for d = 1, 2, ... by a mask-synchronized
-Euclidean loop across all live fibers at once, and takes the number of
-distinct degree-d factors from r_d = sum over k | d of k * m_k as the
-rounds run.  A fiber leaves the live set once its uncounted degree r is
-below 2(d + 1), the stopping rule poly._ddf uses: every factor of degree
-<= d is counted, so r is zero or one irreducible factor.  Ramified fibers
+r_d = deg gcd(h, X^(s^d) - X) for d = 1, 2, ... by one Euclidean loop
+across all live fibers at once, and takes the number of distinct degree-d
+factors from r_d = sum over k | d of k * m_k as the rounds run.  A fiber
+leaves that loop once its gcd is known, and the loop's columns follow the
+largest degree left; the squarings mod h multiply by the fixed rows
+X^(m+j) mod h through VecField.times, which takes their logs once a round.
+A fiber leaves the live set once its uncounted degree r is below 2(d + 1),
+the stopping rule poly._ddf uses: every factor of degree <= d is counted,
+so r is zero or one irreducible factor.  Ramified fibers
 are delegated to the direct path; their branch set, from one factorization
 of f', is found once per run, before the fibers are split across jobs.  A
 fixed subsample (the first, middle and last unramified fiber) of every
@@ -382,57 +385,51 @@ def _gcd_degrees(vf, H, V0):
     """deg gcd(h, v) per fiber, h rows of H (monic), v rows of V0, over vf.
 
     Mask-synchronized Euclid: every iteration eliminates the leading
-    coefficient of the currently-larger polynomial in each still-active
-    fiber, swapping when degrees cross, until one side is zero.
+    coefficient of the currently-larger polynomial in each live fiber,
+    swapping when degrees cross.  A fiber leaves, its result written under
+    its original row, once V is zero (the gcd is U) or a nonzero constant
+    (the gcd is 1), and U and V are cut to the largest live degree.
     """
-    nf, width = H.shape
+    width = H.shape[1]
+    out = np.empty(len(H), dtype=np.int64)
+    idx = np.arange(len(H))
     U = H.copy()
     V = np.zeros_like(U)
     V[:, : V0.shape[1]] = V0
-    cols = np.arange(width)
-    rows = np.arange(nf)
 
     def degrees(M):
         nz = M != 0
-        anyrow = nz.any(axis=1)
-        top = width - 1 - np.argmax(nz[:, ::-1], axis=1)
-        return np.where(anyrow, top, -1)
+        top = M.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+        return np.where(nz.any(axis=1), top, -1)
 
     dU = degrees(U)
     dV = degrees(V)
     guard = 0
-    while True:
-        active = dV >= 0
-        if not active.any():
-            break
+    while len(idx):
         guard += 1
         if guard > 3 * width + 10:
             raise ArithmeticError("gcd loop failed to converge")
-        swap = active & (dU < dV)
+        swap = dU < dV
         if swap.any():
             sw = swap[:, None]
             U, V = np.where(sw, V, U), np.where(sw, U, V)
             dU, dV = np.where(swap, dV, dU), np.where(swap, dU, dV)
-        # A nonzero constant on the V side means the gcd is 1.
-        const = active & (dV == 0)
-        if const.any():
-            U[const] = 0
-            U[const, 0] = 1
-            dU = np.where(const, 0, dU)
-            dV = np.where(const, -1, dV)
-            active = dV >= 0
-            if not active.any():
+        done = dV <= 0
+        if done.any():
+            out[idx[done]] = np.where(dV[done] == 0, 0, dU[done])
+            keep = ~done
+            idx, U, V, dU, dV = idx[keep], U[keep], V[keep], dU[keep], dV[keep]
+            if not len(idx):
                 break
-        lu = U[rows, np.maximum(dU, 0)]
-        lv = V[rows, np.maximum(dV, 0)]
-        # finished fibers have V = 0, so lv = 0 and inv(0) = 0 leave U alone
-        coef = vf.mul(lu, vf.inv(lv))
-        shift = np.maximum(dU - dV, 0)
-        src = cols[None, :] - shift[:, None]
+        w = int(dU.max()) + 1
+        U, V = U[:, :w], V[:, :w]
+        rows = np.arange(len(idx))
+        coef = vf.mul(U[rows, dU], vf.inv(V[rows, dV]))
+        src = np.arange(w)[None, :] - (dU - dV)[:, None]
         vsh = np.where(src >= 0, V[rows[:, None], np.maximum(src, 0)], 0)
         U = U ^ vf.mul(coef[:, None], vsh)
-        dU = np.where(active, degrees(U), dU)
-    return dU
+        dU = degrees(U)
+    return out
 
 
 def _vector_shapes(fb, ts, branch_set):
@@ -472,19 +469,18 @@ def _vector_shapes(fb, ts, branch_set):
         # red[j] = X^(m+j) mod h for the even spread positions.
         red = np.zeros((m - 1, nf, m), dtype=np.int64)
         red[0] = hlow
+        times_hlow = vf.times(hlow)
         for j in range(1, m - 1):
-            prev = red[j - 1]
-            top = prev[:, m - 1]
-            red[j][:, 1:] = prev[:, : m - 1]
-            red[j] ^= vf.mul(top[:, None], hlow)
+            red[j][:, 1:] = red[j - 1][:, : m - 1]
+            red[j] ^= times_hlow(red[j - 1][:, m - 1:])
+        half = (m + 1) // 2
 
         def sqmod(B):
             sq = vf.sq(B)
             out = np.zeros_like(B)
-            half = (m + 1) // 2
             out[:, : 2 * half - 1: 2] = sq[:, :half]
-            for i in range(half, m):
-                out ^= vf.mul(sq[:, i][:, None], red[2 * i - m])
+            for i, times_red in enumerate(reds, half):
+                out ^= times_red(sq[:, i:i + 1])
             return out
 
         H = np.zeros((nf, m + 1), dtype=np.int64)
@@ -498,6 +494,8 @@ def _vector_shapes(fb, ts, branch_set):
         d = 0
         while len(live):
             d += 1
+            # the rows of red are fixed for a round: times takes their logs once
+            reds = [vf.times(red[2 * i - m]) for i in range(half, m)]
             for _ in range(n):
                 B = sqmod(B)
             V0 = B.copy()

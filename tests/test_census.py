@@ -58,9 +58,12 @@ CENSUS = {
     ("monodromy", "_shape_ddf", "fiber at t index"):
         "test_monodromy.py::test_shape_ddf_errors_fire",
     ("monodromy", "_shape_one", "fiber at t index"): None,
-    ("monodromy", "_gcd_degrees", "gcd loop failed to"): None,
-    ("monodromy", "_vector_shapes", "root counts are not"): None,
-    ("monodromy", "_vector_shapes", "leftover degree {} is"): None,
+    ("monodromy", "_gcd_degrees", "gcd loop failed to"):
+        "test_monodromy.py::test_gcd_loop_guard_fires",
+    ("monodromy", "_vector_shapes", "root counts are not"):
+        "test_monodromy.py::test_vector_engine_count_checks_fire",
+    ("monodromy", "_vector_shapes", "leftover degree {} is"):
+        "test_monodromy.py::test_vector_engine_count_checks_fire",
     ("monodromy", "_vector_shapes", "vectorized shape disagrees with"):
         "test_monodromy.py::test_vector_engine_checks_survive_python_O",
     ("monodromy", "_check_orbit", "fibers {} and {}"):

@@ -431,6 +431,37 @@ def test_log_table_kernel_edge_cases(e):
     assert ctx._exp == exp and ctx._log == log
 
 
+@pytest.mark.parametrize("e", [8, 16, 17])
+def test_times_matches_mul(e):
+    """times(b) is a -> mul(a, b): log tables (2^8, 2^16) take log b once,
+    byte tables (2^17) defer to mul; zeros on either side, the engine's
+    (k, 1) x (k, m) broadcast, int64 results, and range errors."""
+    ctx = make_field(2, e)
+    vf = ctx.vec
+    assert (vf._log is not None) == (e <= 16)
+    rng = np.random.default_rng(e)
+    A = rng.integers(0, ctx.order, size=(7, 1), dtype=np.int64)
+    B = rng.integers(0, ctx.order, size=(7, 5), dtype=np.int64)
+    A[0, 0] = 0
+    B[1] = 0
+    B[2, 3] = 0
+    A[3, 0], B[3, 4] = ctx.order - 1, ctx.order - 1
+    got = vf.times(B)(A)
+    assert got.dtype == np.int64
+    assert got.tolist() == vf.mul(A, B).tolist()
+    assert got.tolist() == [[ctx.mul(int(a), int(b)) for b in row] for a, row in zip(A[:, 0], B)]
+    flat = B.ravel()
+    assert vf.times(flat)(0).tolist() == [0] * flat.size
+    assert vf.times(0)(flat).tolist() == [0] * flat.size
+    assert vf.times(flat)(A[3, 0]).tolist() == [ctx.mul(int(A[3, 0]), int(b)) for b in flat]
+    if e <= 16:
+        for bad in (np.array([ctx.order]), np.array([ctx.order + 5])):
+            with pytest.raises(IndexError):
+                vf.times(bad)
+            with pytest.raises(IndexError):
+                vf.times(np.array([1]))(bad)
+
+
 def test_count_first_extension_all_parameters():
     for ci in range(2, 8):
         model = plane_model(4, FieldElem(G16, ci))

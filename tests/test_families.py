@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from excpoly import families
 from excpoly import (
     CanonicalForm,
     FamilySpec,
@@ -357,3 +358,27 @@ def test_canonicalize_q4_correction_term():
         )
         f = form.reassemble()
         assert canonicalize(f, 4) == form
+
+
+def test_canonicalize_builds_the_family_member_once(monkeypatch):
+    """One f_closed per canonicalize, delta read from the reassembly with
+    delta = 0; the full reassembly still refuses a coefficient no step reads."""
+    form = CanonicalForm(q=8, alpha=FieldElem(G16, 7), zeta=FieldElem(G16, 3),
+                         gamma=FieldElem(G16, 5), eta=FieldElem(G16, 9),
+                         delta=FieldElem(G16, 11))
+    f = form.reassemble()
+    built = []
+    f_closed_real = families.f_closed
+
+    def spy(q, alpha):
+        built.append(q)
+        return f_closed_real(q, alpha)
+
+    monkeypatch.setattr(families, "f_closed", spy)
+    assert canonicalize(f, 8) == form
+    assert built == [8]
+    coeffs = list(f.c)
+    coeffs[5] ^= 1
+    with pytest.raises(NotInFamily, match="reassembly mismatch"):
+        canonicalize(UniPoly(G16, coeffs), 8)
+    assert built == [8, 8]

@@ -681,7 +681,7 @@ def test_vector_engine_rounds_stop_at_the_largest_part(monkeypatch):
     assert rows == sorted(rows, reverse=True)
 
 
-ROW_KINDS = ["random", "zero", "const", "same", "shared"]
+ROW_KINDS = ["random", "zero", "const", "same", "shared", "divides", "full"]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -690,8 +690,9 @@ ROW_KINDS = ["random", "zero", "const", "same", "shared"]
                 min_size=1, max_size=12))
 def test_gcd_degrees_matches_scalar_euclid(e, m, rows):
     """The batched Euclid against ff._gcd row by row, on log tables (2^8,
-    2^12) and byte tables (2^17): V0 = 0, a nonzero constant, V0 = H, and
-    pairs built with a common factor, beside random rows."""
+    2^12) and byte tables (2^17): V0 = 0, a nonzero constant, V0 = H, pairs
+    built with a common factor, V0 a divisor of H (U reaches zero in the
+    middle of the loop) and V0 of full width m + 1, beside random rows."""
     ctx = make_field(2, e)
     H = np.zeros((len(rows), m + 1), dtype=np.int64)
     V0 = np.zeros_like(H)
@@ -706,12 +707,81 @@ def test_gcd_degrees_matches_scalar_euclid(e, m, rows):
             g = rand(dg) + [1]
             h = ff._mul(ctx, g, rand(m - dg) + [1])
             v = ff._mul(ctx, g, rand(m - dg + 1))
+        elif kind == "divides":
+            dg = rng.randint(1, m)
+            g = rand(dg) + [1]
+            h = ff._mul(ctx, g, rand(m - dg) + [1])
+            v = ff._mul(ctx, g, [rng.randrange(1, ctx.order)])
         else:
             h = rand(m) + [1]
             v = {"random": rand(m + 1), "zero": [], "const": [rng.randrange(1, ctx.order)],
-                 "same": h}[kind]
+                 "same": h, "full": rand(m) + [rng.randrange(1, ctx.order)]}[kind]
         H[r] = h
         V0[r, : len(v)] = v
     got = monodromy._gcd_degrees(ctx.vec, H, V0)
     assert got.tolist() == [len(ff._gcd(ctx, h, v)) - 1
                             for h, v in zip(H.tolist(), V0.tolist())]
+
+
+def test_gcd_work_follows_the_live_rows_and_columns(monkeypatch):
+    """Finished fibers leave the batched Euclid and its columns follow the
+    largest live degree: over GF(4^4) it multiplies at most half the
+    elements of a dense loop, which takes every row and all m + 1 columns
+    through every iteration, and the count repeats exactly."""
+    f = f_closed(8, FieldElem(G4, 2))
+    gcd_degrees = monodromy._gcd_degrees
+
+    class Counting:
+        def __init__(self, vf, tally):
+            self.vf, self.tally = vf, tally
+
+        def inv(self, a):
+            return self.vf.inv(a)
+
+        def mul(self, a, b):
+            out = self.vf.mul(a, b)
+            self.tally["multiplied"] += out.size
+            self.tally["iterations"] += out.ndim == 2
+            return out
+
+    def run():
+        tally = {"multiplied": 0, "iterations": 0, "dense": 0}
+
+        def spy(vf, H, V0):
+            before = tally["iterations"]
+            out = gcd_degrees(Counting(vf, tally), H, V0)
+            tally["dense"] += (tally["iterations"] - before) * H.size
+            return out
+
+        monkeypatch.setattr(monodromy, "_gcd_degrees", spy)
+        chebotarev_sample(f, make_field(2, 8))
+        return tally
+
+    first = run()
+    assert 0 < first["multiplied"] <= first["dense"] // 2
+    assert run() == first
+
+
+def test_gcd_loop_guard_fires(monkeypatch):
+    """Census mutant: with every product zero, U never shrinks and the
+    batched Euclid must stop at its guard."""
+    monkeypatch.setattr(ff.VecField, "mul",
+                        lambda self, a, b: np.zeros(np.broadcast(a, b).shape, dtype=np.int64))
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        chebotarev_sample(f_closed(8, FieldElem(G4, 2)), make_field(2, 8))
+
+
+@pytest.mark.parametrize("base_e, delta, match", [
+    (12, -1, "not Moebius-consistent"),
+    (8, 1, "leftover degree -1 is impossible"),
+], ids=["one-root-too-few", "one-root-too-many"])
+def test_vector_engine_count_checks_fire(monkeypatch, base_e, delta, match):
+    """Census mutants: gcd degrees one too low over GF(4^6), where some
+    fibers have no root, give a negative count of linear factors; one too
+    high over GF(4^4), where f permutes the base, shift every round's
+    counts alike, so the Moebius check passes and degree -1 is left over."""
+    gcd_degrees = monodromy._gcd_degrees
+    monkeypatch.setattr(monodromy, "_gcd_degrees",
+                        lambda vf, H, V0: gcd_degrees(vf, H, V0) + delta)
+    with pytest.raises(ArithmeticError, match=match):
+        chebotarev_sample(f_closed(8, FieldElem(G4, 2)), make_field(2, base_e))
