@@ -10,6 +10,9 @@ VecField is the one numpy kernel for GF(2^e), built once per context as
 ctx.vec: log/exp lookups where the context has tables, carry-less byte
 tables above 2^16.  Its log table gives 0 the sentinel 2(2^e - 1), which
 an exp table one slot longer clips to 0, so a product takes no zero mask.
+Above 2^16 it inverts through the norm to the largest proper subfield,
+whose inverses fit one table, and it applies every F_2-linear map by one
+table per chunk of at most 12 input bits.
 Counts, shape engine, orbits and scans all run on it.  Over GF(2^e), e > 1,
 the tables are built by shifting x^i and folding in the modulus.
 
@@ -18,13 +21,14 @@ poly and the modulus checks.  Modular powers (_powmod) take each p-th
 power as a semilinear map: (sum a_i X^i)^p = sum a_i^p X^(p*i) in
 characteristic p, so with the rows X^(p*i) mod g tabled once (_frob_rows),
 a^p mod g (_frobmod) is a coefficient power per term plus a sum of rows.
-Over GF(2^e), e > 1, the rows form an int64 (m, m) array, m = deg g, and
-the step is three numpy operations on ctx.vec (squares, one product against
-the rows, an XOR-reduce) instead of the 2 m^2 scalar products of a square
-and its reduction.  Binary square-and-multiply is the reference for it in
-tests/test_frobenius.py.  The one equal-degree splitter, _edf,
-serves poly.factor and poly.roots and roots the moduli for embeddings, and
-_fan_out is the one process fan-out behind --threads.
+Over GF(2^e), e > 1, and m = deg g past a threshold, the rows form an
+int64 (m, m) array and the step is three numpy operations on ctx.vec
+(squares, one product against the rows, an XOR-reduce) instead of the
+2 m^2 scalar products of a square and its reduction.  Binary
+square-and-multiply is the reference for it in tests/test_frobenius.py.
+The one equal-degree splitter, _edf, serves poly.factor and poly.roots and
+roots the moduli for embeddings, and _fan_out is the one process fan-out
+behind --threads.
 
 Checks raise named errors, never assert: ValueError for bad arguments
 (mixed fields, wrong embedding domains), ArithmeticError for a broken
@@ -232,8 +236,9 @@ def _frob_rows(ctx, g):
     Built on the monic associate of g, which leaves every remainder
     unchanged; row i + 1 is row i times X^p: p shifts, each folding the
     overflow back by one multiple of g.  Over GF(2^e), e > 1, the table is
-    an int64 (m, m) array for the vector step of _frobmod; over GF(2), with
-    bits for coefficients, the list loop is the faster one.
+    an int64 (m, m) array for the vector step of _frobmod from m = 9 with
+    log tables (a step costs about 10 us) and from m = 4 on byte tables
+    (about 42 us); below that, and over GF(2), the list loop is the faster.
     """
     g = _monic(ctx, _norm(list(g)))
     if not g:
@@ -250,7 +255,7 @@ def _frob_rows(ctx, g):
             if lead:
                 for j in range(m):
                     cur[j] = csub(cur[j], cmul(lead, g[j]))
-    if ctx.p == 2 and ctx.e > 1:
+    if ctx.p == 2 and ctx.e > 1 and m >= (9 if ctx._log is not None else 4):
         return np.array(rows, dtype=np.int64).reshape(m, m)
     return list(map(_norm, rows))
 
@@ -288,10 +293,11 @@ def _powmod(ctx, a, n, f, rows=None):
     """a^n mod f, by the base-p digits of n from the top.
 
     Each digit costs one _frobmod step (a vector pass over GF(2^e), e > 1,
-    else at most m^2 products, against 2 m^2 for a square and reduction)
-    plus one modular product by a^digit when the digit is nonzero.  rows,
-    when given, must be _frob_rows(ctx, f); callers that reduce many
-    powers modulo one f pass it.  n = 0 gives [1] for every nonzero f.
+    on long moduli, else at most m^2 products, against 2 m^2 for a square
+    and reduction) plus one modular product by a^digit when the digit is
+    nonzero.  rows, when given, must be _frob_rows(ctx, f); callers that
+    reduce many powers modulo one f pass it.  n = 0 gives [1] for every
+    nonzero f.
     """
     a = _mod(ctx, a, f)
     if n < 0:
@@ -752,10 +758,13 @@ class VecField:
     result with no zero mask.  An index at or above order still raises
     IndexError.  Larger ones, up to MAX_ORDER, take
     carry-less byte-by-byte table products and fold the bits from N up back
-    in through the F_2-linear map h -> (h << N) mod f.  Every F_2-linear map
-    (that fold, the Frobenius powers, the trace T) is applied through byte
-    tables (see linear).  Either operand of mul may be a plain int; inv maps
-    0 to 0.
+    in through the F_2-linear map h -> (h << N) mod f, and invert through
+    the norm to the largest proper subfield GF(2^k): a^-1 = a^(r-1) / N(a),
+    r = (2^N - 1) / (2^k - 1), with 1 / N(a) one gather from a 2^k-entry
+    table (see inv).  Every F_2-linear map (that fold, the Frobenius powers,
+    the trace T, the subfield coordinates) is applied through chunk tables
+    of at most 12 input bits (see linear).  Either operand of mul may be a
+    plain int; inv maps 0 to 0.
     """
 
     def __init__(self, ctx):
@@ -764,7 +773,7 @@ class VecField:
         self.ctx = ctx
         self.N = ctx.e
         self._maps = {}
-        self._exp = self._log = None
+        self._exp = self._log = self._subinv = None
         if ctx._log is not None:
             self._exp = np.array(ctx._exp + [0], dtype=np.int64)
             self._log = np.array(ctx._log, dtype=np.int64)
@@ -777,23 +786,25 @@ class VecField:
         """The F_2-linear map x -> image(x) on arrays, cached under key.
 
         image is the map on one packed int; its values on the basis fill one
-        256-entry table per input byte, so the map costs a lookup per byte.
+        table per chunk of w = ceil(N / ceil(N / 12)) input bits (two 10-bit
+        halves on GF(2^20)), so the map costs a gather per chunk.
         """
+        w = -(-self.N // -(-self.N // 12))
         tables = self._maps.get(key)
         if tables is None:
-            byte = np.arange(256, dtype=np.int64)
             tables = []
-            for j in range(0, self.N, 8):
-                t = np.zeros(256, dtype=np.int64)
-                for i in range(min(8, self.N - j)):
-                    t ^= ((byte >> i) & 1) * image(1 << (j + i))
+            for j in range(0, self.N, w):
+                t = np.zeros(1 << min(w, self.N - j), dtype=np.int64)
+                for i in range(min(w, self.N - j)):
+                    t[1 << i: 2 << i] = t[: 1 << i] ^ image(1 << (j + i))
                 tables.append(t)
             self._maps[key] = tables
+        mask, top = (1 << w) - 1, w * (len(tables) - 1)
 
         def apply(a):
-            r = tables[0][a & 0xFF]
-            for j in range(1, len(tables)):
-                r = r ^ tables[j][(a >> (8 * j)) & 0xFF]
+            r = tables[-1].take(a >> top)  # the top chunk needs no mask
+            for j in range(len(tables) - 1):
+                r = r ^ tables[j].take((a >> (w * j) if j else a) & mask)
             return r
         return apply
 
@@ -867,8 +878,38 @@ class VecField:
         if self._log is not None:
             n = self.ctx.order - 1
             return np.where(a != 0, np.take(self._exp, n - np.take(self._log, a)), 0)
-        # a^(2^N - 2) = (a^(1 + 2 + ... + 2^(N-2)))^2
-        return self.sq(self._geometric(a, 1, self.N - 1))
+        # a^(r-1), r = (2^N - 1) / (2^k - 1) for the largest proper divisor
+        # k of N, is 1/a for prime N (k = 1); else N(a) = a^r lies in GF(2^k)
+        k = self.N // prime_factors(self.N)[0]
+        ar = self.pow2(self._geometric(a, k, self.N // k - 1), k)
+        if k == 1:
+            return ar
+        coord, table = self._subfield_inverse(k)
+        return self.mul(ar, table.take(coord(self.mul(ar, a))))
+
+    def _subfield_inverse(self, k):
+        """(coord, table) for GF(2^k) inside GF(2^N), built once: coord reads
+        the leading bits of an echelon basis of 1, h, ..., h^(k-1), h = x^r,
+        so it is F_2-linear and one-to-one on GF(2^k), and table[coord(y)] is
+        1/y there (0 at 0), from the powers of h by doubling."""
+        if self._subinv is None:
+            n = (1 << k) - 1
+            h = self.ctx.pow_(self.ctx.gen, (self.ctx.order - 1) // n)
+            pw = np.ones(1, dtype=np.int64)
+            while pw.size < n:
+                pw = np.concatenate([pw, self.mul(pw, self.ctx.pow_(h, pw.size))])
+            lead = {}
+            for v in map(int, pw[:k]):
+                while v.bit_length() - 1 in lead:
+                    v ^= lead[v.bit_length() - 1]
+                lead[v.bit_length() - 1] = v
+            bits = sorted(lead)
+            coord = self.linear("coord", lambda x: sum(
+                ((x >> b) & 1) << i for i, b in enumerate(bits)))
+            table = np.zeros(n + 1, dtype=np.int64)
+            table[coord(pw[:n])] = pw[-np.arange(n) % n]
+            self._subinv = coord, table
+        return self._subinv
 
     def trace_T(self, a, e):
         """a + a^2 + ... + a^(2^(e-1)), one linear map."""

@@ -32,7 +32,8 @@ CENSUS = {
         "test_curves.py::test_wrong_solver_root_raises",
     ("curves", "_count_plane_fiber", "orbit weights do not"):
         "test_curves.py::test_counter_self_checks_raise",
-    ("curves", "count_points", "count {} over GF({})"): None,
+    ("curves", "count_points", "count {} over GF({})"):
+        "test_curves.py::test_weil_bound_check_fires",
     ("exceptional", "_mult_order", "{} is not a"):
         "test_ff.py::test_library_checks_raise_under_python_O",
     ("exceptional", "_verdict_dickson", "Dickson verdict {} disagrees"): None,
@@ -46,7 +47,8 @@ CENSUS = {
         "test_ff.py::test_table_build_errors_fire",
     ("ff", "FieldCtx._build_tables", "generator order does not"):
         "test_ff.py::test_table_build_errors_fire",
-    ("ff", "Embedding.section_index", "embedding not injective"): None,
+    ("ff", "Embedding.section_index", "embedding not injective"):
+        "test_ff.py::test_section_table_catches_a_colliding_embedding",
     ("monodromy", "PermAction.__init__", "domain size {}"): None,
     ("monodromy", "PermAction.elements", "linear group order {}"): None,
     ("monodromy", "PermAction._validate", "action not transitive: orbit"): None,

@@ -1,9 +1,12 @@
 """Curve models, algebraic identity certificates, point counting, and the
 L-polynomial pipeline."""
 
+import functools
 import json
 import math
+import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -370,19 +373,24 @@ def test_wrong_solver_root_raises(flags):
         assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("e", [3, 4, 8, 9, 12, 16, 17, 24, 26])
+@pytest.mark.parametrize("e", [3, 4, 8, 9, 12, 16, 17, 18, 20, 21, 22, 24, 25, 26])
 def test_vector_field_kernels_match_scalar_arithmetic(e):
     # log/exp lookups up to 2^16, byte-table products and folds above, against
-    # the scalar field (table-backed or bit-serial)
+    # the scalar field (table-backed or bit-serial).  Above 2^16 inv goes
+    # through the largest proper subfield: half the degree for even e, t = 3
+    # at e = 21 (GF(2^7)), t = 5 at e = 25 (GF(2^5)), the plain chain for 17.
     ctx = make_field(2, e)
     vf = VecField(ctx)
     assert (vf._log is not None) == (e <= 16) and ctx.vec is ctx.vec
     elems = st.lists(st.integers(min_value=0, max_value=ctx.order - 1), min_size=1, max_size=40)
+    top = ctx.order - 1
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(elems, elems)
     def check(a, b):
-        b = (b * len(a))[: len(a)]
+        # pairs (0, top), (top, 0) and (top, top) ride along with each draw
+        a = a + [0, top, top]
+        b = (b * len(a))[: len(a) - 3] + [top, 0, top]
         va, vb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
         assert vf.mul(va, vb).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
         assert vf.mul(va, b[0]).tolist() == [ctx.mul(x, b[0]) for x in a]
@@ -392,6 +400,84 @@ def test_vector_field_kernels_match_scalar_arithmetic(e):
         assert vf.inv(va).tolist() == [ctx.inv(x) if x else 0 for x in a]
 
     check()
+
+
+@pytest.mark.parametrize("N", [20, 24])
+def test_subfield_inverse_table_covers_the_whole_half_field(N):
+    """coord is one-to-one on every element of GF(2^k), k = N / 2, and
+    x * inv(x) = 1 for every nonzero x there; the subfield is listed by
+    scalar products, as 0 and the powers of x^((2^N - 1) / (2^k - 1))."""
+    ctx = make_field(2, N)
+    vf = ctx.vec
+    n = (1 << (N // 2)) - 1
+    h = ctx.pow_(ctx.gen, (ctx.order - 1) // n)
+    sub = [1]
+    for _ in range(n - 1):
+        sub.append(ctx.mul(sub[-1], h))
+    x = np.array(sub, dtype=np.int64)
+    assert len(set(sub)) == n and (vf.pow2(x, N // 2) == x).all()
+    coord, table = vf._subfield_inverse(N // 2)
+    assert sorted(coord(np.concatenate([[0], x])).tolist()) == list(range(n + 1))
+    assert table.shape == (n + 1,) and table[0] == 0
+    assert (vf.mul(x, vf.inv(x)) == 1).all()
+    assert vf.inv(x[:200]).tolist() == [ctx.inv(v) for v in sub[:200]]
+
+
+@pytest.mark.parametrize("N", [4, 12, 17, 20, 26])
+def test_linear_maps_match_their_scalar_image(N):
+    """A map with no structure (a random image per basis bit) and the
+    Frobenius, through ceil(N / 12) chunk tables, against the scalar image
+    on drawn inputs with 0, the top bit and 2^N - 1 added."""
+    ctx = make_field(2, N)
+    vf = VecField(ctx)
+    rng = random.Random(N)
+    basis = [rng.randrange(ctx.order) for _ in range(N)]
+
+    def image(x):
+        return functools.reduce(operator.xor, (basis[i] for i in range(N) if (x >> i) & 1), 0)
+    maps = [(vf.linear("random", image), image),
+            (vf.linear("frob", lambda x: ctx.mul(x, x)), lambda x: ctx.mul(x, x))]
+    assert len(vf._maps["random"]) == -(-N // 12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=30))
+    def check(xs):
+        xs = xs + [0, 1 << (N - 1), ctx.order - 1]
+        for apply, scalar in maps:
+            assert apply(np.array(xs, dtype=np.int64)).tolist() == [scalar(x) for x in xs]
+            assert int(apply(xs[0])) == scalar(xs[0])
+
+    check()
+
+
+@pytest.mark.parametrize("N", [20, 24])
+def test_byte_table_inverse_takes_two_products(monkeypatch, N):
+    """inv over GF(2^20) and GF(2^24) is a^(r-1) * (1 / N(a)): two products,
+    where the plain chain took 6 and 7, and as many on every call once the
+    subfield table (built on the first call) exists."""
+    vf = VecField(make_field(2, N))
+    x = np.arange(1, 1000, dtype=np.int64)
+    vf.inv(x)
+    real = VecField.mul
+    calls = []
+
+    def spy(self, a, b):
+        calls.append(N)
+        return real(self, a, b)
+    monkeypatch.setattr(VecField, "mul", spy)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        vf.inv(x)
+        counts.append(len(calls) - before)
+    assert counts == [2, 2]
+
+
+def test_weil_bound_check_fires(monkeypatch):
+    real = curves._count_plane_fiber
+    monkeypatch.setattr(curves, "_count_plane_fiber", lambda *args: real(*args) + 10**6)
+    with pytest.raises(ArithmeticError, match="breaks the Weil bound"):
+        count_points(plane_model(4, FieldElem(G16, 2)), 2)
 
 
 @pytest.mark.parametrize("e", [2, 4, 8])

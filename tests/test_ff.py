@@ -365,6 +365,15 @@ def test_embedding_gf4_into_gf16():
     assert hits == sub.order
 
 
+def test_section_table_catches_a_colliding_embedding(monkeypatch):
+    # a fresh embedding whose apply sends 0 and 1 to the same image
+    real = ff.Embedding.apply
+    monkeypatch.setattr(ff.Embedding, "apply", lambda self, a: real(self, a & ~1))
+    emb = ff.Embedding(make_field(2, 2), make_field(2, 4))
+    with pytest.raises(ArithmeticError, match="embedding not injective"):
+        emb.section_index(0)
+
+
 def test_embedding_rejects_non_divisible_degrees():
     with pytest.raises(ValueError):
         embed(make_field(2, 2), make_field(2, 3))

@@ -25,9 +25,17 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "factor_golden.json"
 # table fields in both characteristics; their products are exact lookups,
 # so the reference loop stays cheap at degree 30.  GF(2^17) has no tables:
 # it puts the byte-table products of VecField under the vector step of
-# _frobmod, at degrees up to BIG_FIELD_DEGREE.
+# _frobmod, at degrees up to BIG_FIELD_DEGREE.  Both ranges of degrees
+# straddle the threshold where the row table turns into an array.
 FIELDS = [(2, 1), (2, 2), (2, 4), (2, 8), (2, 12), (2, 17), (3, 1), (3, 2), (3, 3)]
 BIG_FIELD_DEGREE = 12
+
+
+def vector_threshold(ctx):
+    """The least deg f whose row table is a numpy array over GF(2^e), e > 1:
+    where the vector step of _frobmod (about 10 us on log tables, 42 us on
+    byte tables) beats the list loop."""
+    return 9 if ctx.order <= TABLE_LIMIT else 4
 
 
 def powmod_reference(ctx, a, n, f):
@@ -85,8 +93,9 @@ def test_frob_rows_are_the_p_multiple_powers_of_x(case):
     ctx, _a, f = case
     rows = _frob_rows(ctx, f)
     assert len(rows) == len(f) - 1
-    # over GF(2^e), e > 1, one int64 (m, m) array, row i padded with zeros
-    array = ctx.p == 2 and ctx.e > 1
+    # over GF(2^e), e > 1, from the vector threshold on, one int64 (m, m)
+    # array, row i padded with zeros
+    array = ctx.p == 2 and ctx.e > 1 and len(f) - 1 >= vector_threshold(ctx)
     assert isinstance(rows, np.ndarray) == array
     if array:
         assert rows.dtype == np.int64 and rows.shape == (len(f) - 1,) * 2
@@ -145,6 +154,24 @@ def test_powmod_contract_edges():
     for n in (0, 1, 2, g17.order, (g17.order - 1) // 2, 12345):
         assert _powmod(g17, [9, 1], n, f) == powmod_reference(g17, [9, 1], n, f)
     assert _frobmod(g17, [], _frob_rows(g17, f)) == []
+
+
+@pytest.mark.parametrize("e", [2, 8, 16, 17, 20])
+def test_frobmod_on_both_sides_of_the_vector_threshold(e):
+    """Just below the threshold the rows stay lists, from it on they are an
+    array; both forms give the square mod f, and so does the other form
+    built by hand for the same f."""
+    ctx = make_field(2, e)
+    rng = np.random.default_rng(e)
+    for m in (vector_threshold(ctx) - 1, vector_threshold(ctx)):
+        f = [int(c) for c in rng.integers(0, ctx.order, m)] + [1]
+        a = _norm([ctx.order - 1] + [int(c) for c in rng.integers(0, ctx.order, m - 1)])
+        rows = _frob_rows(ctx, f)
+        assert isinstance(rows, np.ndarray) == (m == vector_threshold(ctx))
+        other = (list(map(_norm, rows.tolist())) if isinstance(rows, np.ndarray)
+                 else np.array([r + [0] * (m - len(r)) for r in rows], dtype=np.int64))
+        want = _mod(ctx, _mul(ctx, a, a), f)
+        assert _frobmod(ctx, a, rows) == _frobmod(ctx, a, other) == want
 
 
 def _golden_cases():
